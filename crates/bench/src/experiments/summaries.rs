@@ -5,8 +5,9 @@
 //! [`ExperimentGrid`] is the list of [`SummaryId`]s from the standard
 //! registry, and every cell drives the real machinery:
 //!
-//! * [`session_matrix`] — one full `ReceiverSession`/`SenderSession`
-//!   pump per cell, the mechanism pinned via the session config's
+//! * [`session_matrix`] — one full `ReceiverMachine`/`SenderMachine`
+//!   session per cell over a `FramePump`, the mechanism pinned via the
+//!   session config's
 //!   summary override, the digest crossing the (in-memory) wire in the
 //!   generic tagged frame. Columns report recovered fraction of the true
 //!   difference and summary bytes shipped.
@@ -18,7 +19,9 @@
 //! touching this file — the whole point of the trait API.
 
 use bytes::Bytes;
-use icd_core::{pump_observed, ReceiverSession, SenderSession, SessionConfig, WorkingSet};
+use icd_core::{
+    FramePump, PumpStep, ReceiverMachine, SenderMachine, SessionConfig, TransferPlan, WorkingSet,
+};
 use icd_fountain::EncodedSymbol;
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
@@ -26,6 +29,7 @@ use icd_overlay::transfer::run_transfer;
 use icd_recon::standard_registry;
 use icd_summary::SummaryId;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
+use icd_wire::message::{encoded_symbol_frame_len, FRAME_PREFIX_BYTES};
 use icd_wire::Message;
 
 use crate::config::ExpConfig;
@@ -79,9 +83,11 @@ pub fn default_geometries() -> Vec<SessionGeometry> {
 pub struct SessionCellOutcome {
     /// Fraction of the true difference delivered.
     pub recovered: f64,
-    /// Encoded summary frame bytes shipped by the receiver.
+    /// Encoded summary bytes shipped by the receiver (the frame body,
+    /// without its length prefix).
     pub summary_bytes: usize,
-    /// Total control-plane bytes (sketches + summary + request + end).
+    /// Framed control-plane bytes in both directions (sketches, summary,
+    /// request, end; length prefixes included).
     pub control_bytes: usize,
 }
 
@@ -104,7 +110,7 @@ pub fn session_cell(
     let shared: Vec<u64> = (0..geometry.shared).map(|_| rng.next_u64()).collect();
     let r_extra: Vec<u64> = (0..geometry.receiver_extra).map(|_| rng.next_u64()).collect();
     let s_extra: Vec<u64> = (0..geometry.sender_extra).map(|_| rng.next_u64()).collect();
-    let mut receiver_ws =
+    let receiver_ws =
         WorkingSet::from_symbols(shared.iter().chain(r_extra.iter()).map(|&id| sym(id)));
     let sender_ws =
         WorkingSet::from_symbols(shared.iter().chain(s_extra.iter()).map(|&id| sym(id)));
@@ -113,32 +119,39 @@ pub fn session_cell(
         .with_request(geometry.sender_extra as u64 * 2)
         .with_summary(mechanism)
         .with_seed(seed ^ 0x5E55);
-    let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-    let mut sender = SenderSession::new(sender_ws, seed ^ 0xF00D);
+    let mut receiver = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, seed ^ 0xF00D);
 
-    // Observe the pump to count the control-plane bytes that actually
-    // cross the wire. (A char-poly frame's size depends on the
-    // sketch-noisy estimate the *session* made, so only measuring the
-    // real messages is honest.)
-    let mut summary_bytes = 0usize;
-    let mut control_bytes = 0usize;
-    pump_observed(&mut session, &mut receiver_ws, &mut sender, opening, |msg| {
-        match msg {
-            Message::EncodedSymbol { .. } | Message::RecodedSymbol { .. } => {}
-            Message::Summary { .. } => {
-                let size = msg.encoded_size();
-                summary_bytes += size;
-                control_bytes += size;
-            }
-            _ => control_bytes += msg.encoded_size(),
+    // Measure the frames the pump actually routes. (A char-poly frame's
+    // size depends on the sketch-noisy estimate the *session* made, so
+    // only measuring the real frames is honest.) Every receiver frame is
+    // control: the opening sketch `start` queues, then the summary and
+    // the symbol request. Every sender frame besides its sketch and
+    // `End` is an encoded symbol carrying an 8-byte payload.
+    let mut pump = FramePump::new();
+    let mut actions = Vec::new();
+    pump.start(&mut receiver, &mut sender, &mut actions)
+        .expect("session");
+    let (opening, _) = pump.wire_bytes();
+    while pump
+        .step(&mut receiver, &mut sender, &mut actions)
+        .expect("session")
+        == PumpStep::Progressed
+    {}
+    let (to_sender, to_receiver) = pump.wire_bytes();
+    let summary_bytes = match receiver.plan() {
+        Some(TransferPlan::Reconciled { summary }) if summary != SummaryId::NONE => {
+            let request = Message::SymbolRequest { count: 0 }.frame_len() as u64;
+            to_sender - opening - request - FRAME_PREFIX_BYTES as u64
         }
-    })
-    .expect("session");
+        _ => 0,
+    };
+    let data_bytes = sender.streamed() * encoded_symbol_frame_len(8) as u64;
 
     SessionCellOutcome {
-        recovered: session.gained() as f64 / geometry.sender_extra.max(1) as f64,
-        summary_bytes,
-        control_bytes,
+        recovered: receiver.gained() as f64 / geometry.sender_extra.max(1) as f64,
+        summary_bytes: summary_bytes as usize,
+        control_bytes: (to_sender + to_receiver - data_bytes) as usize,
     }
 }
 

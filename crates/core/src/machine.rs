@@ -1,43 +1,220 @@
-//! Sans-I/O session machines: events in, actions out, zero I/O, zero
-//! internal time.
+//! The §3 exchange as a pair of sans-I/O session machines: events in,
+//! actions out, zero I/O, zero internal time.
 //!
-//! [`ReceiverSession`]/[`SenderSession`] already keep protocol logic
-//! free of transport concerns, but they still traffic in decoded
-//! [`Message`] values — every driver re-implements framing, byte
-//! accounting, and completion detection around them. This module closes
-//! that gap with the classic sans-I/O shape: a machine consumes
-//! [`SessionEvent`]s (`PeerConnected`, `FrameReceived`, `TickElapsed`)
-//! and emits [`SessionAction`]s (`SendFrame`, `SymbolDecoded`,
-//! `Completed`, ...). Every `SendFrame` carries the *exact* bytes
-//! `icd-wire`'s `write_frame_buf` produces — length prefix included —
-//! so whatever the driver sums is by construction the true wire cost.
+//! The receiver drives the exchange:
+//!
+//! 1. **R → S**: min-wise sketch (the calling card).
+//! 2. **S → R**: the sender's sketch in return.
+//! 3. Receiver applies [`crate::policy::plan_transfer`]:
+//!    * *Reject* — the receiver sends `End` and the session ends
+//!      (admission control; no bandwidth spent beyond two sketches).
+//!    * *Reconciled* — the receiver builds the chosen summary through
+//!      its [`SummaryRegistry`] and sends it in the generic tagged
+//!      frame, plus a `SymbolRequest{count}`. Any registered mechanism —
+//!      whole-set, hash-set, char-poly, bloom, art, or an out-of-tree
+//!      one — takes this path; the machines never name a mechanism.
+//!    * *Speculative* — the receiver sends only `SymbolRequest{count}`.
+//! 4. **S → R**: up to `count` data frames — encoded symbols the decoded
+//!    summary's [`Reconciler`](crate::summary::Reconciler) cleared
+//!    (reconciled), or recoded symbols with min-wise-scaled degrees
+//!    (speculative) — then `End`.
+//!
+//! A machine consumes [`SessionEvent`]s (`PeerConnected`,
+//! `FrameReceived`, `TickElapsed`) and emits [`SessionAction`]s
+//! (`SendFrame`, `SymbolDecoded`, `Completed`, ...). Every `SendFrame`
+//! carries the *exact* bytes `icd-wire`'s `write_frame_buf` produces —
+//! length prefix included — so whatever the driver sums is by
+//! construction the true wire cost.
 //!
 //! Time never originates inside a machine: the driver's clock arrives
 //! via [`SessionEvent::TickElapsed`], and the optional idle timeout is
 //! judged purely against those driver-provided ticks. The same machine
-//! therefore runs unchanged under the discrete-event overlay engine
-//! (simulated ticks), the blocking TCP drivers below (wall-clock ticks,
-//! or none), and the in-memory [`FramePump`] used by tests.
-//!
-//! Drivers in this workspace:
+//! therefore runs unchanged under every driver in this workspace:
 //! * `icd-overlay`'s session links pump one frame per link send slot,
 //!   applying rate/latency/loss to real framed byte lengths;
 //! * [`drive_receiver`]/[`drive_sender`] run the machines over any
-//!   blocking `Read + Write` stream (the `tcp_reconcile` example);
+//!   blocking `Read + Write` stream (`icd-node`, the `tcp_reconcile`
+//!   example);
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
-//!   frame per direction per step, mirroring `SessionPump`.
+//!   frame per direction per step (tests, the quickstart example, the
+//!   summary sweeps).
+
+use std::sync::Arc;
 
 use bytes::Bytes;
+use icd_fountain::{EncodedSymbol, RecodeBuffer, RecodePolicy, Recoder};
+use icd_sketch::MinwiseSketch;
+use icd_util::rng::{Rng64 as _, Xoshiro256StarStar};
 use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
 use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
 
-use crate::policy::TransferPlan;
-use crate::session::{
-    PumpStep, ReceiverSession, SenderSession, SessionConfig, SessionError,
+use crate::policy::{plan_transfer, PolicyKnobs, TransferPlan};
+use crate::summary::{
+    diff_estimate, standard_registry_arc, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
 };
-use crate::summary::SummaryRegistry;
 use crate::working_set::WorkingSet;
+
+/// The most symbols a sender streams in answer to one `SymbolRequest`.
+/// The count is peer-supplied and the sans-I/O sender materialises its
+/// whole answer before the driver writes a byte, so an unbounded count
+/// would let one hostile request exhaust memory. The largest request in
+/// this workspace is the speculative end-to-end test's `3·l` (300
+/// symbols), and daemon and `predict` requests never exceed the spec
+/// universe (hundreds of symbols); 2^20 sits more than three orders of
+/// magnitude above both.
+pub(crate) const MAX_SYMBOL_REQUEST: u64 = 1 << 20;
+
+/// Session-level configuration (receiver side), built with the
+/// `with_*` methods:
+///
+/// ```
+/// use icd_core::{SessionConfig, summary::SummaryId};
+/// let config = SessionConfig::new()
+///     .with_request(256)
+///     .with_summary(SummaryId::CHAR_POLY);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SessionConfig {
+    /// Symbols to request (§6.1: chosen "with appropriate allowances for
+    /// decoding overhead"). Senders refuse counts above 2^20.
+    pub request: u64,
+    /// Policy knobs for plan selection.
+    pub knobs: PolicyKnobs,
+    /// Summary sizing shared by every registered mechanism.
+    pub sizing: SummarySizing,
+    /// When set, skip policy scoring and ship exactly this summary —
+    /// how experiment sweeps pin each mechanism in turn.
+    pub summary_override: Option<SummaryId>,
+    /// RNG seed (recoding draws on the sender side use the peer's seed).
+    pub seed: u64,
+    /// The mechanism registry both construction and scoring consult.
+    pub registry: Arc<SummaryRegistry>,
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        Self {
+            request: 128,
+            knobs: PolicyKnobs::default(),
+            sizing: SummarySizing::default(),
+            summary_override: None,
+            seed: 0x5E55_1014,
+            registry: standard_registry_arc(),
+        }
+    }
+}
+
+impl SessionConfig {
+    /// Starts a builder chain from the defaults.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the number of symbols to request.
+    #[must_use]
+    pub fn with_request(mut self, request: u64) -> Self {
+        self.request = request;
+        self
+    }
+
+    /// Sets the policy knobs.
+    #[must_use]
+    pub fn with_knobs(mut self, knobs: PolicyKnobs) -> Self {
+        self.knobs = knobs;
+        self
+    }
+
+    /// Sets the summary sizing.
+    #[must_use]
+    pub fn with_sizing(mut self, sizing: SummarySizing) -> Self {
+        self.sizing = sizing;
+        self
+    }
+
+    /// Forces a specific summary mechanism instead of policy scoring.
+    /// §4 admission control still applies: a peer with nothing useful is
+    /// rejected before the pinned digest is built.
+    #[must_use]
+    pub fn with_summary(mut self, id: SummaryId) -> Self {
+        self.summary_override = Some(id);
+        self
+    }
+
+    /// Sets the session seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Replaces the summary registry (e.g. one with a private mechanism
+    /// registered).
+    #[must_use]
+    pub fn with_registry(mut self, registry: Arc<SummaryRegistry>) -> Self {
+        self.registry = registry;
+        self
+    }
+}
+
+/// Session failures: protocol violations, not I/O (the transport layer
+/// owns those).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// A message arrived that the current state cannot accept.
+    UnexpectedMessage {
+        /// The state the machine was in.
+        state: &'static str,
+        /// The offending frame's message tag.
+        tag: u8,
+    },
+    /// The peer's sketch uses a different permutation family.
+    FamilyMismatch,
+    /// A summary frame named a mechanism absent from this side's
+    /// registry.
+    UnknownSummary {
+        /// The raw id the frame carried.
+        id: u16,
+    },
+    /// A summary body failed its mechanism's decoder.
+    MalformedSummary(&'static str),
+    /// A `SymbolRequest` asked for more symbols than a sender streams in
+    /// one answer (2^20).
+    RequestTooLarge {
+        /// The requested count.
+        count: u64,
+    },
+}
+
+impl From<SummaryError> for SessionError {
+    fn from(err: SummaryError) -> Self {
+        match err {
+            SummaryError::Unknown(id) => Self::UnknownSummary { id: id.0 },
+            SummaryError::Malformed(why) => Self::MalformedSummary(why),
+            SummaryError::DuplicateId(_) => Self::MalformedSummary("duplicate summary id"),
+        }
+    }
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UnexpectedMessage { state, tag } => {
+                write!(f, "unexpected message tag {tag:#04x} in state {state}")
+            }
+            Self::FamilyMismatch => write!(f, "peer sketch from a different permutation family"),
+            Self::UnknownSummary { id } => write!(f, "summary id {id} not in registry"),
+            Self::MalformedSummary(why) => write!(f, "summary body rejected: {why}"),
+            Self::RequestTooLarge { count } => write!(
+                f,
+                "symbol request for {count} exceeds the {MAX_SYMBOL_REQUEST}-symbol cap"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
 
 /// An input to a session machine. Drivers translate their world —
 /// sockets, simulated links, test queues — into these three events.
@@ -76,7 +253,7 @@ pub enum SessionAction {
 }
 
 /// Failures surfaced by a machine: malformed frames, wire decode
-/// errors, or protocol violations from the underlying session.
+/// errors, or protocol violations.
 #[derive(Debug)]
 pub enum MachineError {
     /// The driver handed over bytes that are not one whole well-formed
@@ -85,7 +262,7 @@ pub enum MachineError {
     Frame(&'static str),
     /// The frame body failed to decode.
     Wire(WireError),
-    /// The session state machine rejected the message.
+    /// The frame was well formed but broke the protocol.
     Session(SessionError),
 }
 
@@ -107,10 +284,11 @@ impl From<SessionError> for MachineError {
     }
 }
 
-/// Splits a raw frame into its message, validating that the buffer is
-/// exactly one frame whose prefix agrees with its length. The body
-/// decodes as a view of the buffer (no copy for data-plane payloads).
-fn decode_frame(frame: &Bytes) -> Result<Message, MachineError> {
+/// Splits a raw frame into its message tag and message, validating that
+/// the buffer is exactly one frame whose prefix agrees with its length.
+/// The body decodes as a view of the buffer (no copy for data-plane
+/// payloads).
+fn decode_frame(frame: &Bytes) -> Result<(u8, Message), MachineError> {
     if frame.len() < FRAME_PREFIX_BYTES {
         return Err(MachineError::Frame("frame shorter than its length prefix"));
     }
@@ -120,13 +298,18 @@ fn decode_frame(frame: &Bytes) -> Result<Message, MachineError> {
             .expect("four prefix bytes"),
     ) as usize;
     if declared != frame.len() - FRAME_PREFIX_BYTES {
-        return Err(MachineError::Frame("length prefix disagrees with frame size"));
+        return Err(MachineError::Frame(
+            "length prefix disagrees with frame size",
+        ));
     }
-    Message::decode_from(&frame.slice(FRAME_PREFIX_BYTES..)).map_err(MachineError::Wire)
+    let msg =
+        Message::decode_from(&frame.slice(FRAME_PREFIX_BYTES..)).map_err(MachineError::Wire)?;
+    // A decoded body is never empty, so the tag byte exists.
+    Ok((frame[FRAME_PREFIX_BYTES], msg))
 }
 
 /// Shared non-protocol state: connection flag, driver clock, idle
-/// timeout, terminal reporting.
+/// timeout, frame encoding.
 #[derive(Debug)]
 struct MachineClock {
     connected: bool,
@@ -134,25 +317,38 @@ struct MachineClock {
     last_activity: u64,
     idle_timeout: Option<u64>,
     timed_out: bool,
-    reported: bool,
     scratch: Vec<u8>,
 }
 
 impl MachineClock {
-    fn new(idle_timeout: Option<u64>) -> Self {
+    fn new() -> Self {
         Self {
             connected: false,
             now: 0,
             last_activity: 0,
-            idle_timeout,
+            idle_timeout: None,
             timed_out: false,
-            reported: false,
             scratch: Vec::new(),
         }
     }
 
-    fn touch(&mut self) {
+    fn connect(&mut self) -> Result<(), MachineError> {
+        if self.connected {
+            return Err(MachineError::Frame("duplicate PeerConnected"));
+        }
+        self.connected = true;
         self.last_activity = self.now;
+        Ok(())
+    }
+
+    /// Accepts one inbound frame: the connection must be up; the frame
+    /// counts as activity and is split into its tag and message.
+    fn receive(&mut self, frame: &Bytes) -> Result<(u8, Message), MachineError> {
+        if !self.connected {
+            return Err(MachineError::Frame("frame before PeerConnected"));
+        }
+        self.last_activity = self.now;
+        decode_frame(frame)
     }
 
     /// Advances the driver clock; returns true when the idle timeout
@@ -172,21 +368,51 @@ impl MachineClock {
         }
     }
 
-    fn encode(&mut self, msg: &Message) -> Result<Bytes, MachineError> {
+    /// Frames `msg` and queues it as a [`SessionAction::SendFrame`].
+    fn send(
+        &mut self,
+        msg: &Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
         let mut out = Vec::with_capacity(msg.frame_len());
         write_frame_buf(&mut out, msg, &mut self.scratch)
             .map_err(|_| MachineError::Frame("message exceeds frame size bounds"))?;
-        Ok(Bytes::from(out))
+        actions.push(SessionAction::SendFrame(Bytes::from(out)));
+        Ok(())
     }
 }
 
-/// Receiver-side sans-I/O machine: owns its [`WorkingSet`] and a
-/// [`ReceiverSession`], exposing only the event/action surface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReceiverState {
+    AwaitPeerSketch,
+    Streaming,
+    Done,
+    Rejected,
+}
+
+impl ReceiverState {
+    fn name(self) -> &'static str {
+        match self {
+            Self::AwaitPeerSketch => "await-peer-sketch",
+            Self::Streaming => "streaming",
+            Self::Done => "done",
+            Self::Rejected => "rejected",
+        }
+    }
+}
+
+/// Receiver-side machine: owns its [`WorkingSet`], opens with its
+/// sketch, plans the transfer, and decodes the stream into the set.
 #[derive(Debug)]
 pub struct ReceiverMachine {
-    session: ReceiverSession,
+    config: SessionConfig,
     working: WorkingSet,
-    opening: Vec<Message>,
+    /// Decoding buffer seeded with every held symbol, so recoded
+    /// arrivals resolve against the whole working set.
+    buffer: RecodeBuffer,
+    state: ReceiverState,
+    gained: u64,
+    plan: Option<TransferPlan>,
     clock: MachineClock,
 }
 
@@ -195,12 +421,18 @@ impl ReceiverMachine {
     /// until the driver delivers [`SessionEvent::PeerConnected`].
     #[must_use]
     pub fn new(working: WorkingSet, config: SessionConfig) -> Self {
-        let (session, opening) = ReceiverSession::start(&working, config);
+        let mut buffer = RecodeBuffer::new();
+        for sym in working.symbols() {
+            let _ = buffer.add_known(&sym);
+        }
         Self {
-            session,
+            config,
             working,
-            opening,
-            clock: MachineClock::new(None),
+            buffer,
+            state: ReceiverState::AwaitPeerSketch,
+            gained: 0,
+            plan: None,
+            clock: MachineClock::new(),
         }
     }
 
@@ -220,41 +452,13 @@ impl ReceiverMachine {
         let mut actions = Vec::new();
         match event {
             SessionEvent::PeerConnected => {
-                if self.clock.connected {
-                    return Err(MachineError::Frame("duplicate PeerConnected"));
-                }
-                self.clock.connected = true;
-                self.clock.touch();
-                for msg in std::mem::take(&mut self.opening) {
-                    let frame = self.clock.encode(&msg)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
+                self.clock.connect()?;
+                let opening = Message::Minwise(self.working.sketch().clone());
+                self.clock.send(&opening, &mut actions)?;
             }
             SessionEvent::FrameReceived(frame) => {
-                if !self.clock.connected {
-                    return Err(MachineError::Frame("frame before PeerConnected"));
-                }
-                self.clock.touch();
-                let msg = decode_frame(&frame)?;
-                let replies = self.session.on_message(&mut self.working, &msg)?;
-                for reply in &replies {
-                    let frame = self.clock.encode(reply)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
-                for id in self.session.take_recovered() {
-                    actions.push(SessionAction::SymbolDecoded(id));
-                }
-                if !self.clock.reported {
-                    if self.session.is_done() {
-                        self.clock.reported = true;
-                        actions.push(SessionAction::Completed {
-                            gained: self.session.gained(),
-                        });
-                    } else if self.session.was_rejected() {
-                        self.clock.reported = true;
-                        actions.push(SessionAction::Rejected);
-                    }
-                }
+                let (tag, msg) = self.clock.receive(&frame)?;
+                self.on_message(tag, msg, &mut actions)?;
             }
             SessionEvent::TickElapsed(now) => {
                 if self.clock.tick(now, self.is_finished()) {
@@ -265,23 +469,145 @@ impl ReceiverMachine {
         Ok(actions)
     }
 
+    fn on_message(
+        &mut self,
+        tag: u8,
+        msg: Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        match (self.state, msg) {
+            (ReceiverState::AwaitPeerSketch, Message::Minwise(peer_sketch)) => {
+                self.on_peer_sketch(&peer_sketch, actions)
+            }
+            (ReceiverState::Streaming, Message::EncodedSymbol { id, payload }) => {
+                self.ingest(std::slice::from_ref(&id), &payload, actions);
+                Ok(())
+            }
+            (
+                ReceiverState::Streaming,
+                Message::RecodedSymbol {
+                    components,
+                    payload,
+                },
+            ) => {
+                self.ingest(&components, &payload, actions);
+                Ok(())
+            }
+            (ReceiverState::Streaming, Message::End { .. }) => {
+                self.state = ReceiverState::Done;
+                actions.push(SessionAction::Completed {
+                    gained: self.gained,
+                });
+                Ok(())
+            }
+            (state, _) => Err(SessionError::UnexpectedMessage {
+                state: state.name(),
+                tag,
+            }
+            .into()),
+        }
+    }
+
+    /// Plans the transfer from the sketch exchange and sends the plan's
+    /// frames. Every frame is built before plan and state are committed:
+    /// a registry failure (unknown override id, constructor error) leaves
+    /// the machine awaiting the peer sketch, not half-streaming.
+    fn on_peer_sketch(
+        &mut self,
+        peer_sketch: &MinwiseSketch,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        if peer_sketch.family_seed() != self.working.sketch().family_seed() {
+            return Err(SessionError::FamilyMismatch.into());
+        }
+        let estimate = self.working.estimate_against(peer_sketch);
+        // An override pins the mechanism (sweeps comparing mechanisms
+        // must not have policy re-deciding per cell); otherwise policy
+        // scores the registry. §4 admission control applies either way —
+        // a provably useless peer is rejected before any digest is built.
+        let scored = plan_transfer(
+            &estimate,
+            &self.config.knobs,
+            &self.config.sizing,
+            &self.config.registry,
+        );
+        let plan = match (self.config.summary_override, scored) {
+            (_, TransferPlan::Reject) => TransferPlan::Reject,
+            (Some(id), _) => TransferPlan::Reconciled { summary: id },
+            (None, scored) => scored,
+        };
+        let request = Message::SymbolRequest {
+            count: self.config.request,
+        };
+        let state = match plan {
+            TransferPlan::Reject => {
+                self.clock.send(&Message::End { sent: 0 }, actions)?;
+                ReceiverState::Rejected
+            }
+            TransferPlan::Reconciled { summary } => {
+                if summary != SummaryId::NONE {
+                    let digest = self
+                        .config
+                        .registry
+                        .build(
+                            summary,
+                            &self.config.sizing,
+                            &diff_estimate(&estimate),
+                            &self.working.sorted_ids(),
+                        )
+                        .map_err(SessionError::from)?;
+                    let frame = Message::Summary {
+                        summary_id: summary.0,
+                        body: digest.encode_body(),
+                    };
+                    self.clock.send(&frame, actions)?;
+                }
+                self.clock.send(&request, actions)?;
+                ReceiverState::Streaming
+            }
+            TransferPlan::Speculative { .. } => {
+                self.clock.send(&request, actions)?;
+                ReceiverState::Streaming
+            }
+        };
+        self.plan = Some(plan);
+        self.state = state;
+        if state == ReceiverState::Rejected {
+            actions.push(SessionAction::Rejected);
+        }
+        Ok(())
+    }
+
+    fn ingest(&mut self, components: &[u64], payload: &[u8], actions: &mut Vec<SessionAction>) {
+        let mut recovered = Vec::new();
+        self.buffer
+            .receive_parts(components, payload, &mut recovered);
+        for symbol in recovered {
+            let id = symbol.id;
+            if self.working.insert(symbol) {
+                self.gained += 1;
+                actions.push(SessionAction::SymbolDecoded(id));
+            }
+        }
+    }
+
     /// The machine has reached a terminal state (done, rejected, or
     /// timed out) and will take no further protocol steps.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.session.is_done() || self.session.was_rejected() || self.clock.timed_out
+        self.is_done() || self.was_rejected() || self.clock.timed_out
     }
 
     /// True when the stream finished normally.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.session.is_done()
+        self.state == ReceiverState::Done
     }
 
     /// True when admission control rejected the peer.
     #[must_use]
     pub fn was_rejected(&self) -> bool {
-        self.session.was_rejected()
+        self.state == ReceiverState::Rejected
     }
 
     /// True when the idle timeout fired.
@@ -293,13 +619,13 @@ impl ReceiverMachine {
     /// New distinct symbols gained so far.
     #[must_use]
     pub fn gained(&self) -> u64 {
-        self.session.gained()
+        self.gained
     }
 
     /// The plan chosen after the sketch exchange (None before that).
     #[must_use]
     pub fn plan(&self) -> Option<TransferPlan> {
-        self.session.plan()
+        self.plan
     }
 
     /// The working set as it stands (symbols accrue during streaming).
@@ -328,12 +654,39 @@ impl ReceiverMachine {
     }
 }
 
-/// Sender-side sans-I/O machine over a [`SenderSession`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SenderState {
+    AwaitSketch,
+    AwaitPlan,
+    Done,
+}
+
+impl SenderState {
+    fn name(self) -> &'static str {
+        match self {
+            Self::AwaitSketch => "await-sketch",
+            Self::AwaitPlan => "await-plan",
+            Self::Done => "done",
+        }
+    }
+}
+
+/// Sender-side machine. Owns a snapshot of the sender's working set for
+/// the connection's duration (the §6.1 model: summaries and inventories
+/// are not updated mid-connection) and only ever speaks in answer to
+/// the receiver.
 #[derive(Debug)]
 pub struct SenderMachine {
-    session: SenderSession,
-    clock: MachineClock,
+    working: WorkingSet,
+    registry: Arc<SummaryRegistry>,
+    state: SenderState,
+    /// Receiver sketch, kept for speculative-degree estimation.
+    receiver_sketch: Option<MinwiseSketch>,
+    /// Candidate symbols cleared by a receiver summary.
+    candidates: Option<Vec<EncodedSymbol>>,
+    rng: Xoshiro256StarStar,
     streamed: u64,
+    clock: MachineClock,
 }
 
 impl SenderMachine {
@@ -341,24 +694,22 @@ impl SenderMachine {
     /// with the standard registry.
     #[must_use]
     pub fn new(working: WorkingSet, seed: u64) -> Self {
-        Self {
-            session: SenderSession::new(working, seed),
-            clock: MachineClock::new(None),
-            streamed: 0,
-        }
+        Self::with_registry(working, seed, standard_registry_arc())
     }
 
-    /// As [`SenderMachine::new`] with an explicit summary registry.
+    /// As [`SenderMachine::new`] with an explicit summary registry (it
+    /// must cover every mechanism the receiver may choose).
     #[must_use]
-    pub fn with_registry(
-        working: WorkingSet,
-        seed: u64,
-        registry: std::sync::Arc<SummaryRegistry>,
-    ) -> Self {
+    pub fn with_registry(working: WorkingSet, seed: u64, registry: Arc<SummaryRegistry>) -> Self {
         Self {
-            session: SenderSession::with_registry(working, seed, registry),
-            clock: MachineClock::new(None),
+            working,
+            registry,
+            state: SenderState::AwaitSketch,
+            receiver_sketch: None,
+            candidates: None,
+            rng: Xoshiro256StarStar::new(seed),
             streamed: 0,
+            clock: MachineClock::new(),
         }
     }
 
@@ -375,33 +726,10 @@ impl SenderMachine {
     pub fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError> {
         let mut actions = Vec::new();
         match event {
-            SessionEvent::PeerConnected => {
-                if self.clock.connected {
-                    return Err(MachineError::Frame("duplicate PeerConnected"));
-                }
-                self.clock.connected = true;
-                self.clock.touch();
-            }
+            SessionEvent::PeerConnected => self.clock.connect()?,
             SessionEvent::FrameReceived(frame) => {
-                if !self.clock.connected {
-                    return Err(MachineError::Frame("frame before PeerConnected"));
-                }
-                self.clock.touch();
-                let msg = decode_frame(&frame)?;
-                let replies = self.session.on_message(&msg)?;
-                for reply in &replies {
-                    if let Message::End { sent } = reply {
-                        self.streamed = *sent;
-                    }
-                    let frame = self.clock.encode(reply)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
-                if self.session.is_done() && !self.clock.reported {
-                    self.clock.reported = true;
-                    actions.push(SessionAction::Completed {
-                        gained: self.streamed,
-                    });
-                }
+                let (tag, msg) = self.clock.receive(&frame)?;
+                self.on_message(tag, msg, &mut actions)?;
             }
             SessionEvent::TickElapsed(now) => {
                 if self.clock.tick(now, self.is_finished()) {
@@ -412,16 +740,122 @@ impl SenderMachine {
         Ok(actions)
     }
 
+    fn on_message(
+        &mut self,
+        tag: u8,
+        msg: Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        match (self.state, msg) {
+            (SenderState::AwaitSketch, Message::Minwise(sketch)) => {
+                if sketch.family_seed() != self.working.sketch().family_seed() {
+                    return Err(SessionError::FamilyMismatch.into());
+                }
+                self.clock
+                    .send(&Message::Minwise(self.working.sketch().clone()), actions)?;
+                self.receiver_sketch = Some(sketch);
+                self.state = SenderState::AwaitPlan;
+            }
+            (SenderState::AwaitPlan, Message::Summary { summary_id, body }) => {
+                // One dispatch for every mechanism: registry decode, then
+                // the Reconciler trait produces the cleared candidates.
+                let reconciler = self
+                    .registry
+                    .decode(SummaryId(summary_id), &body)
+                    .map_err(SessionError::from)?;
+                let missing = reconciler.missing_at_peer(&self.working.sorted_ids());
+                let candidates = missing
+                    .into_iter()
+                    .filter_map(|id| {
+                        self.working.payload(id).map(|p| EncodedSymbol {
+                            id,
+                            payload: p.clone(),
+                        })
+                    })
+                    .collect();
+                self.candidates = Some(candidates);
+            }
+            (SenderState::AwaitPlan, Message::SymbolRequest { count }) => {
+                self.stream(count, actions)?;
+            }
+            (SenderState::AwaitPlan, Message::End { .. }) => {
+                // Admission control rejected us; nothing was streamed.
+                self.state = SenderState::Done;
+                actions.push(SessionAction::Completed { gained: 0 });
+            }
+            (state, _) => {
+                return Err(SessionError::UnexpectedMessage {
+                    state: state.name(),
+                    tag,
+                }
+                .into())
+            }
+        }
+        Ok(())
+    }
+
+    /// Streams the answer to a request for `count` symbols, then `End`.
+    fn stream(&mut self, count: u64, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
+        if count > MAX_SYMBOL_REQUEST {
+            return Err(SessionError::RequestTooLarge { count }.into());
+        }
+        let mut sent = 0u64;
+        match self.candidates.take() {
+            Some(mut candidates) => {
+                // Reconciled transfer: ship cleared symbols, each at most
+                // once, stopping at the request or exhaustion.
+                self.rng.shuffle(&mut candidates);
+                for sym in candidates.into_iter().take(count as usize) {
+                    // `sym.payload` is shared with the working set, so
+                    // the frame costs a reference count, not a copy.
+                    let msg = Message::EncodedSymbol {
+                        id: sym.id,
+                        payload: sym.payload,
+                    };
+                    self.clock.send(&msg, actions)?;
+                    sent += 1;
+                }
+            }
+            None if !self.working.is_empty() => {
+                // Speculative transfer: recode over the whole set with
+                // min-wise-scaled degrees.
+                let containment = self.receiver_sketch.as_ref().map_or(0.0, |rs| {
+                    rs.estimate(self.working.sketch()).containment_of_b()
+                });
+                let recoder = Recoder::new(
+                    self.working.symbols().collect(),
+                    icd_fountain::recode::PAPER_DEGREE_LIMIT,
+                    RecodePolicy::MinwiseScaled { containment },
+                );
+                for _ in 0..count {
+                    let rec = recoder.generate(&mut self.rng);
+                    let msg = Message::RecodedSymbol {
+                        components: rec.components,
+                        payload: rec.payload,
+                    };
+                    self.clock.send(&msg, actions)?;
+                }
+                sent = count;
+            }
+            None => {}
+        }
+        self.clock.send(&Message::End { sent }, actions)?;
+        self.streamed = sent;
+        self.state = SenderState::Done;
+        actions.push(SessionAction::Completed { gained: sent });
+        Ok(())
+    }
+
     /// The machine has reached a terminal state.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.session.is_done() || self.clock.timed_out
+        self.is_done() || self.clock.timed_out
     }
 
     /// True when the sender has answered the request (or been rejected).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.session.is_done()
+        self.state == SenderState::Done
     }
 
     /// True when the idle timeout fired.
@@ -437,17 +871,30 @@ impl SenderMachine {
     }
 }
 
-/// In-memory frame-level driver for one receiver/sender machine pair:
-/// the sans-I/O analogue of [`crate::SessionPump`]. Each
+/// What one [`FramePump::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PumpStep {
+    /// At least one frame was delivered.
+    Progressed,
+    /// Both queues were empty — the exchange is quiescent. Stepping
+    /// again stays `Idle`; the call never blocks.
+    Idle,
+}
+
+/// In-memory driver for one receiver/sender machine pair. Each
 /// [`FramePump::step`] moves at most one frame in each direction and
-/// never blocks, so schedulers can interleave many pumps. Byte counters
-/// sum the exact framed lengths crossing each direction.
+/// never blocks — the shape an event-driven scheduler needs: it can
+/// interleave steps of many pumps and detect quiescence without parking
+/// a thread. [`FramePump::run`] is the batch loop over the same steps.
+/// Counters sum the exact framed lengths crossing each direction.
 #[derive(Debug, Default)]
 pub struct FramePump {
     to_sender: std::collections::VecDeque<Bytes>,
     to_receiver: std::collections::VecDeque<Bytes>,
     bytes_to_sender: u64,
     bytes_to_receiver: u64,
+    frames_to_sender: u64,
+    frames_to_receiver: u64,
 }
 
 impl FramePump {
@@ -472,15 +919,22 @@ impl FramePump {
         Ok(())
     }
 
-    fn route(&mut self, from: Vec<SessionAction>, from_receiver: bool, sink: &mut Vec<SessionAction>) {
+    fn route(
+        &mut self,
+        from: Vec<SessionAction>,
+        from_receiver: bool,
+        sink: &mut Vec<SessionAction>,
+    ) {
         for action in from {
             match action {
                 SessionAction::SendFrame(frame) => {
                     if from_receiver {
                         self.bytes_to_sender += frame.len() as u64;
+                        self.frames_to_sender += 1;
                         self.to_sender.push_back(frame);
                     } else {
                         self.bytes_to_receiver += frame.len() as u64;
+                        self.frames_to_receiver += 1;
                         self.to_receiver.push_back(frame);
                     }
                 }
@@ -495,10 +949,16 @@ impl FramePump {
         self.to_sender.is_empty() && self.to_receiver.is_empty()
     }
 
-    /// Total framed bytes delivered so far `(to_sender, to_receiver)`.
+    /// Total framed bytes sent so far `(to_sender, to_receiver)`.
     #[must_use]
     pub fn wire_bytes(&self) -> (u64, u64) {
         (self.bytes_to_sender, self.bytes_to_receiver)
+    }
+
+    /// Frames sent so far `(to_sender, to_receiver)`.
+    #[must_use]
+    pub fn frames(&self) -> (u64, u64) {
+        (self.frames_to_sender, self.frames_to_receiver)
     }
 
     /// Delivers at most one queued frame to each machine. Non-transport
@@ -783,19 +1243,53 @@ mod tests {
         (0..n).map(|_| rng.next_u64()).collect()
     }
 
+    /// `shared` plus `fresh`: the sender side of a transfer whose true
+    /// difference is `fresh`.
+    fn union(shared: &[u64], fresh: &[u64]) -> Vec<u64> {
+        shared.iter().chain(fresh).copied().collect()
+    }
+
+    /// One message as the whole frame a peer would put on the wire.
+    fn frame(msg: &Message) -> Bytes {
+        let mut out = Vec::new();
+        write_frame_buf(&mut out, msg, &mut Vec::new()).expect("frame");
+        Bytes::from(out)
+    }
+
+    /// FNV-1a over the ids' little-endian bytes: a compact fingerprint
+    /// of a final working set.
+    fn fnv(ids: &[u64]) -> u64 {
+        ids.iter()
+            .flat_map(|id| id.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     /// Build the canonical overlapping scenario: receiver has
     /// shared ∪ receiver-extra, sender shared ∪ sender-extra.
     fn machines(request: u64) -> (ReceiverMachine, SenderMachine, usize) {
         let shared = ids(600, 1);
         let fresh = ids(250, 2);
-        let recv_ws = working(&shared);
-        let mut sender_ids = shared.clone();
-        sender_ids.extend(fresh.iter().copied());
-        let send_ws = working(&sender_ids);
         let receiver =
-            ReceiverMachine::new(recv_ws, SessionConfig::new().with_request(request));
-        let sender = SenderMachine::new(send_ws, 7);
+            ReceiverMachine::new(working(&shared), SessionConfig::new().with_request(request));
+        let sender = SenderMachine::new(working(&union(&shared, &fresh)), 7);
         (receiver, sender, fresh.len())
+    }
+
+    /// Runs one session to quiescence, returning the receiver and pump.
+    fn run(
+        receiver_ws: WorkingSet,
+        sender_ws: WorkingSet,
+        config: SessionConfig,
+        seed: u64,
+    ) -> (ReceiverMachine, FramePump) {
+        let mut receiver = ReceiverMachine::new(receiver_ws, config);
+        let mut sender = SenderMachine::new(sender_ws, seed);
+        let mut pump = FramePump::new();
+        pump.run(&mut receiver, &mut sender).expect("run");
+        assert!(sender.is_done(), "sender must answer every session");
+        (receiver, pump)
     }
 
     #[test]
@@ -831,64 +1325,300 @@ mod tests {
     }
 
     #[test]
-    fn machine_pump_agrees_with_session_pump_byte_for_byte() {
-        // The same scenario through the legacy message-level pump and
-        // the frame-level machine pump must exchange identical bytes.
+    fn machines_reproduce_the_message_level_reference() {
+        // Captured from the retired message-level session layer (its
+        // batch pump, summing `Message::frame_len`) before that layer was
+        // folded into these machines: the folded protocol must move the
+        // same bytes in the same frames and end with the same working
+        // set.
         let shared = ids(500, 11);
         let fresh = ids(200, 12);
-        let mut sender_ids = shared.clone();
-        sender_ids.extend(fresh.iter().copied());
-        let config = SessionConfig::new().with_request(500);
-
-        // Legacy: count encoded frame lengths via the observer.
-        let mut recv_ws = working(&shared);
-        let send_ws = working(&sender_ids);
-        let (mut recv, opening) =
-            crate::session::ReceiverSession::start(&recv_ws, config.clone());
-        let mut send = crate::session::SenderSession::new(send_ws, 7);
-        let mut legacy_bytes = 0u64;
-        crate::session::pump_observed(
-            &mut recv,
-            &mut recv_ws,
-            &mut send,
-            opening,
-            |msg| legacy_bytes += msg.frame_len() as u64,
-        )
-        .expect("legacy pump");
-
-        // Machines: the pump counters sum actual frame buffers.
-        let (mut receiver, mut sender) = (
-            ReceiverMachine::new(working(&shared), config),
-            SenderMachine::new(working(&sender_ids), 7),
+        let (receiver, pump) = run(
+            working(&shared),
+            working(&union(&shared, &fresh)),
+            SessionConfig::new().with_request(500),
+            7,
         );
-        let mut pump = FramePump::new();
-        pump.run(&mut receiver, &mut sender).expect("machine pump");
         let (to_sender, to_receiver) = pump.wire_bytes();
-        assert_eq!(legacy_bytes, to_sender + to_receiver);
-        assert_eq!(recv.gained(), receiver.gained());
-        assert_eq!(recv_ws.sorted_ids(), receiver.working().sorted_ids());
+        assert_eq!(to_sender + to_receiver, 8089);
+        assert_eq!(pump.frames(), (3, 200));
+        assert_eq!(receiver.gained(), 198);
+        assert_eq!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::HASH_SET
+            })
+        );
+        let final_ids = receiver.working().sorted_ids();
+        assert_eq!(final_ids.len(), 698);
+        assert_eq!(fnv(&final_ids), 0xf207_c838_2d46_b97e);
     }
 
     #[test]
-    fn rejection_surfaces_as_an_action() {
+    fn identical_peers_reject_after_two_sketches_and_an_end() {
         let shared = ids(400, 21);
-        let mut receiver =
-            ReceiverMachine::new(working(&shared), SessionConfig::default());
+        let mut receiver = ReceiverMachine::new(working(&shared), SessionConfig::default());
         let mut sender = SenderMachine::new(working(&shared), 3);
         let mut pump = FramePump::new();
         let actions = pump.run(&mut receiver, &mut sender).expect("run");
-        assert!(receiver.was_rejected());
+        assert!(receiver.was_rejected() && receiver.is_finished());
+        assert!(sender.is_done());
+        assert_eq!(receiver.gained(), 0);
+        assert_eq!(receiver.plan(), Some(TransferPlan::Reject));
         assert!(actions.contains(&SessionAction::Rejected));
         assert!(!actions
             .iter()
             .any(|a| matches!(a, SessionAction::SymbolDecoded(_))));
+        // Admission control costs exactly: sketch out, sketch back, end.
+        let sketch = Message::Minwise(receiver.working().sketch().clone()).frame_len() as u64;
+        let end = Message::End { sent: 0 }.frame_len() as u64;
+        assert_eq!(pump.frames(), (2, 1));
+        assert_eq!(pump.wire_bytes(), (sketch + end, sketch));
+    }
+
+    #[test]
+    fn bloom_reconciled_transfer_moves_only_useful_symbols() {
+        let shared = ids(1000, 2);
+        let fresh = ids(300, 3);
+        let (receiver, _) = run(
+            working(&shared),
+            working(&union(&shared, &fresh)),
+            SessionConfig::new().with_request(1000),
+            8,
+        );
+        assert!(receiver.is_done());
+        assert_eq!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::BLOOM
+            })
+        );
+        // Gained symbols ⊆ fresh, and nearly all of fresh (Bloom FPs may
+        // withhold a few).
+        assert!(receiver.gained() as usize <= fresh.len());
+        assert!(
+            receiver.gained() as usize > fresh.len() * 9 / 10,
+            "gained {} of {}",
+            receiver.gained(),
+            fresh.len()
+        );
+        for id in &fresh {
+            if let Some(payload) = receiver.working().payload(*id) {
+                assert_eq!(payload.as_ref(), &id.to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn art_plan_for_small_differences() {
+        let shared = ids(3000, 4);
+        let fresh = ids(30, 5); // 1 % difference → ART territory
+        let (receiver, _) = run(
+            working(&shared),
+            working(&union(&shared, &fresh)),
+            SessionConfig::new().with_request(100),
+            9,
+        );
+        assert!(receiver.is_done());
+        assert_eq!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::ART
+            })
+        );
+        assert!(
+            receiver.gained() > 0,
+            "ART transfer should deliver something"
+        );
+        // Nothing held before the session is lost.
+        for id in &shared {
+            assert!(receiver.working().contains(*id));
+        }
+    }
+
+    #[test]
+    fn speculative_transfer_for_weak_clients() {
+        let shared = ids(400, 6);
+        let fresh = ids(400, 7);
+        let config = SessionConfig::new()
+            .with_request(2000)
+            .with_knobs(PolicyKnobs {
+                fine_grained_capable: false,
+                ..PolicyKnobs::default()
+            });
+        let (receiver, _) = run(
+            working(&shared),
+            working(&union(&shared, &fresh)),
+            config,
+            10,
+        );
+        assert!(receiver.is_done());
+        assert!(matches!(
+            receiver.plan(),
+            Some(TransferPlan::Speculative { .. })
+        ));
+        assert!(
+            receiver.gained() as usize > fresh.len() / 2,
+            "recoded stream should deliver a good share: {}",
+            receiver.gained()
+        );
+        // Payload integrity through recoded XOR paths.
+        for id in &fresh {
+            if let Some(payload) = receiver.working().payload(*id) {
+                assert_eq!(payload.as_ref(), &id.to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn summary_override_does_not_bypass_admission_control() {
+        // §4: an identical peer is rejected even when a sweep pins a
+        // mechanism — no digest is built for a provably useless sender.
+        let shared = ids(500, 40);
+        let config = SessionConfig::new().with_summary(SummaryId::WHOLE_SET);
+        let (receiver, pump) = run(working(&shared), working(&shared), config, 41);
+        assert!(receiver.was_rejected());
+        assert_eq!(receiver.plan(), Some(TransferPlan::Reject));
+        assert_eq!(receiver.gained(), 0);
+        assert_eq!(pump.frames(), (2, 1), "no summary frame may be sent");
+    }
+
+    #[test]
+    fn request_bounds_the_stream() {
+        let (receiver, _) = run(
+            working(&ids(100, 13)),
+            working(&ids(500, 14)), // disjoint
+            SessionConfig::new().with_request(50),
+            15,
+        );
+        assert!(receiver.is_done());
+        assert!(receiver.gained() <= 50);
+        assert!(receiver.gained() >= 45, "gained {}", receiver.gained());
+    }
+
+    #[test]
+    fn protocol_violations_are_errors() {
+        let ws = working(&ids(10, 11));
+        let mut receiver = ReceiverMachine::new(ws.clone(), SessionConfig::default());
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
+        let request = frame(&Message::SymbolRequest { count: 1 });
+        assert!(matches!(
+            receiver.handle(SessionEvent::FrameReceived(request)),
+            Err(MachineError::Session(SessionError::UnexpectedMessage {
+                state: "await-peer-sketch",
+                ..
+            }))
+        ));
+        let mut sender = SenderMachine::new(ws, 12);
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        let end = frame(&Message::End { sent: 0 });
+        assert!(matches!(
+            sender.handle(SessionEvent::FrameReceived(end)),
+            Err(MachineError::Session(SessionError::UnexpectedMessage {
+                state: "await-sketch",
+                ..
+            }))
+        ));
+        assert!(!receiver.is_finished() && !sender.is_finished());
+    }
+
+    #[test]
+    fn receiver_build_failure_leaves_the_machine_intact() {
+        // An override naming an unregistered mechanism errors on the
+        // peer sketch — and the machine stays awaiting the sketch with no
+        // plan and no frame sent, so a corrected retry (or clean
+        // teardown) is possible.
+        let send_ws = working(&ids(200, 31));
+        let config = SessionConfig::new().with_summary(SummaryId(0x8001));
+        let mut receiver = ReceiverMachine::new(working(&ids(200, 30)), config);
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
+        let peer = frame(&Message::Minwise(send_ws.sketch().clone()));
+        for _ in 0..2 {
+            // Still awaiting a sketch: the same frame is not "unexpected".
+            assert!(matches!(
+                receiver.handle(SessionEvent::FrameReceived(peer.clone())),
+                Err(MachineError::Session(SessionError::UnknownSummary {
+                    id: 0x8001
+                }))
+            ));
+            assert!(receiver.plan().is_none(), "no plan may be committed");
+        }
+    }
+
+    #[test]
+    fn unknown_and_malformed_summaries_are_errors() {
+        let shared = ids(100, 20);
+        let mut sender = SenderMachine::new(working(&shared), 21);
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        let sketch = frame(&Message::Minwise(working(&shared).sketch().clone()));
+        sender
+            .handle(SessionEvent::FrameReceived(sketch))
+            .expect("sketch accepted");
+        // An id outside the registry.
+        let unknown = frame(&Message::Summary {
+            summary_id: 0x7777,
+            body: vec![],
+        });
+        assert!(matches!(
+            sender.handle(SessionEvent::FrameReceived(unknown)),
+            Err(MachineError::Session(SessionError::UnknownSummary {
+                id: 0x7777
+            }))
+        ));
+        // A registered id with a garbage body.
+        let garbage = frame(&Message::Summary {
+            summary_id: SummaryId::BLOOM.0,
+            body: vec![1, 2, 3],
+        });
+        assert!(matches!(
+            sender.handle(SessionEvent::FrameReceived(garbage)),
+            Err(MachineError::Session(SessionError::MalformedSummary(_)))
+        ));
+    }
+
+    #[test]
+    fn oversized_symbol_request_is_refused_before_streaming() {
+        // A hostile receiver skips the summary and asks for u64::MAX
+        // speculative symbols: the sender must refuse without
+        // generating any, not materialise an unbounded stream.
+        let ws = working(&ids(300, 50));
+        let mut sender = SenderMachine::new(ws.clone(), 51);
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        let sketch = frame(&Message::Minwise(ws.sketch().clone()));
+        sender
+            .handle(SessionEvent::FrameReceived(sketch))
+            .expect("sketch accepted");
+        for count in [u64::MAX, MAX_SYMBOL_REQUEST + 1] {
+            let request = frame(&Message::SymbolRequest { count });
+            assert!(matches!(
+                sender.handle(SessionEvent::FrameReceived(request)),
+                Err(MachineError::Session(SessionError::RequestTooLarge { count: c })) if c == count
+            ));
+            assert!(!sender.is_finished() && sender.streamed() == 0);
+        }
+        // The refusals left the machine intact: a bounded request is
+        // still answered.
+        let request = frame(&Message::SymbolRequest { count: 10 });
+        let actions = sender
+            .handle(SessionEvent::FrameReceived(request))
+            .expect("bounded request");
+        assert_eq!(
+            actions.last(),
+            Some(&SessionAction::Completed { gained: 10 })
+        );
     }
 
     #[test]
     fn idle_timeout_is_driver_clocked() {
         let (receiver, _sender, _) = machines(10);
         let mut receiver = receiver.with_idle_timeout(5);
-        let connect = receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        let connect = receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         assert!(matches!(connect[0], SessionAction::SendFrame(_)));
         // Time only moves when the driver says so.
         assert!(receiver
@@ -919,7 +1649,9 @@ mod tests {
             Err(MachineError::Frame(_))
         ));
         // A frame whose prefix lies about its length is rejected.
-        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         let lying = Bytes::from_static(&[9, 0, 0, 0, 0x7F]);
         assert!(matches!(
             receiver.handle(SessionEvent::FrameReceived(lying)),
@@ -1099,7 +1831,10 @@ mod tests {
         let (mut receiver, _, _) = machines(10);
         assert!(matches!(
             drive_receiver(&mut receiver, &mut stream, FrameLimit::default()),
-            Err(DriveError::Transport(FrameError::Truncated { needed: 5, got: 7 }))
+            Err(DriveError::Transport(FrameError::Truncated {
+                needed: 5,
+                got: 7
+            }))
         ));
     }
 
@@ -1166,10 +1901,14 @@ mod tests {
         let (mut receiver, mut sender, fresh) = machines(1000);
         let mut pump = FramePump::new();
         let mut actions = Vec::new();
-        pump.start(&mut receiver, &mut sender, &mut actions).expect("start");
+        pump.start(&mut receiver, &mut sender, &mut actions)
+            .expect("start");
         // Pump only a handful of frames — the "connection" then dies.
         for _ in 0..12 {
-            if pump.step(&mut receiver, &mut sender, &mut actions).expect("step") == PumpStep::Idle
+            if pump
+                .step(&mut receiver, &mut sender, &mut actions)
+                .expect("step")
+                == PumpStep::Idle
             {
                 break;
             }
@@ -1211,7 +1950,10 @@ mod tests {
         // The resumed handshake summarized the pre-cut gains, so none of
         // them is ever re-decoded.
         for id in &second {
-            assert!(!first.contains(id), "symbol {id} double-counted across resume");
+            assert!(
+                !first.contains(id),
+                "symbol {id} double-counted across resume"
+            );
         }
         // Combined, the two half-sessions still deliver the transfer.
         assert!(

@@ -107,7 +107,7 @@ impl WorkingSet {
     }
 
     /// Builds the digest of the current ids under any registered
-    /// mechanism — the one summary-construction path ([`crate::session`]
+    /// mechanism — the one summary-construction path ([`crate::machine`]
     /// uses the registry equivalently).
     pub fn build_summary(
         &self,

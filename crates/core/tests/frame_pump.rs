@@ -1,14 +1,14 @@
-//! Session round-trips over the in-memory pump: both transfer plans
-//! (reconciled and speculative) must carry the receiver to its request
-//! target, the plan chosen must match the policy configuration, and —
-//! the registry contract — every registered summary mechanism must
-//! carry a session end to end when pinned by id.
+//! Session round-trips over the in-memory `FramePump`: both transfer
+//! plans (reconciled and speculative) must carry the receiver to its
+//! request target, the plan chosen must match the policy configuration,
+//! and — the registry contract — every registered summary mechanism
+//! must carry a session end to end when pinned by id.
 
 use bytes::Bytes;
 use icd_core::summary::{standard_registry, SummaryId};
 use icd_core::{
-    pump, PolicyKnobs, PumpStep, ReceiverSession, SenderSession, SessionConfig, SessionPump,
-    TransferPlan, WorkingSet,
+    FramePump, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine, SessionConfig, TransferPlan,
+    WorkingSet,
 };
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
@@ -27,22 +27,48 @@ fn ids(n: usize, seed: u64) -> Vec<u64> {
 
 /// Overlapping working sets: receiver holds the first `shared + own`
 /// ids, sender holds the `shared` ids plus `fresh` ids of its own.
-fn overlapping_sets(shared: usize, receiver_extra: usize, sender_extra: usize) -> (WorkingSet, WorkingSet) {
+fn overlapping_sets(
+    shared: usize,
+    receiver_extra: usize,
+    sender_extra: usize,
+) -> (WorkingSet, WorkingSet) {
     let shared_ids = ids(shared, 0xAB);
     let r_extra = ids(receiver_extra, 0xCD);
     let s_extra = ids(sender_extra, 0xEF);
-    let receiver = WorkingSet::from_symbols(
-        shared_ids.iter().chain(r_extra.iter()).map(|&id| sym(id)),
-    );
-    let sender = WorkingSet::from_symbols(
-        shared_ids.iter().chain(s_extra.iter()).map(|&id| sym(id)),
-    );
+    let receiver =
+        WorkingSet::from_symbols(shared_ids.iter().chain(r_extra.iter()).map(|&id| sym(id)));
+    let sender =
+        WorkingSet::from_symbols(shared_ids.iter().chain(s_extra.iter()).map(|&id| sym(id)));
     (receiver, sender)
+}
+
+/// Runs one session to quiescence and returns the finished receiver.
+fn session(
+    receiver_ws: WorkingSet,
+    sender_ws: WorkingSet,
+    config: SessionConfig,
+    seed: u64,
+) -> ReceiverMachine {
+    let mut receiver = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, seed);
+    FramePump::new()
+        .run(&mut receiver, &mut sender)
+        .expect("clean session");
+    receiver
+}
+
+/// FNV-1a over the ids' little-endian bytes.
+fn fnv(ids: &[u64]) -> u64 {
+    ids.iter()
+        .flat_map(|id| id.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[test]
 fn reconciled_plan_reaches_the_request_target() {
-    let (mut receiver_ws, sender_ws) = overlapping_sets(1_500, 300, 600);
+    let (receiver_ws, sender_ws) = overlapping_sets(1_500, 300, 600);
     let before = receiver_ws.len();
     let request = 200u64; // comfortably below the true difference (600)
     let config = SessionConfig {
@@ -53,22 +79,23 @@ fn reconciled_plan_reaches_the_request_target() {
         },
         ..SessionConfig::default()
     };
-    let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-    let mut sender = SenderSession::new(sender_ws, 0x5EED);
-    pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
+    let receiver = session(receiver_ws, sender_ws, config, 0x5EED);
 
-    assert!(session.is_done());
+    assert!(receiver.is_done());
     assert!(
-        matches!(session.plan(), Some(TransferPlan::Reconciled { .. })),
+        matches!(receiver.plan(), Some(TransferPlan::Reconciled { .. })),
         "capable peers at this overlap must reconcile, got {:?}",
-        session.plan()
+        receiver.plan()
     );
     assert!(
-        session.gained() >= request,
+        receiver.gained() >= request,
         "reconciled transfer fell short: gained {} of {request}",
-        session.gained()
+        receiver.gained()
     );
-    assert_eq!(receiver_ws.len() as u64, before as u64 + session.gained());
+    assert_eq!(
+        receiver.working().len() as u64,
+        before as u64 + receiver.gained()
+    );
 }
 
 #[test]
@@ -99,13 +126,13 @@ fn speculative_plan_reaches_the_target_over_repeated_sessions() {
             seed: 0x5E55_1014 + session_no,
             ..SessionConfig::default()
         };
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws.clone(), 0xF00D + session_no);
-        pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
+        let receiver = session(receiver_ws, sender_ws.clone(), config, 0xF00D + session_no);
         if first_plan.is_none() {
-            first_plan = session.plan();
+            first_plan = receiver.plan();
         }
-        if session.was_rejected() || receiver_ws.len() >= target {
+        let rejected = receiver.was_rejected();
+        receiver_ws = receiver.into_working();
+        if rejected || receiver_ws.len() >= target {
             break;
         }
     }
@@ -126,7 +153,7 @@ fn every_registered_summary_carries_a_session_end_to_end() {
     // char-poly, bloom, and art all drive the *same* session machines
     // over the *same* generic wire frame, selected purely by SummaryId.
     for mechanism in standard_registry().ids() {
-        let (mut receiver_ws, sender_ws) = overlapping_sets(400, 40, 80);
+        let (receiver_ws, sender_ws) = overlapping_sets(400, 40, 80);
         let sender_ids: std::collections::HashSet<u64> = sender_ws.ids().collect();
         let before: std::collections::HashSet<u64> = receiver_ws.ids().collect();
         let true_diff = sender_ids.difference(&before).count() as u64;
@@ -134,43 +161,36 @@ fn every_registered_summary_carries_a_session_end_to_end() {
             .with_request(200)
             .with_summary(mechanism)
             .with_seed(0x1D ^ u64::from(mechanism.0));
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws, 0xBEEF ^ u64::from(mechanism.0));
-        pump(&mut session, &mut receiver_ws, &mut sender, opening)
+        let mut receiver = ReceiverMachine::new(receiver_ws, config);
+        let mut sender = SenderMachine::new(sender_ws, 0xBEEF ^ u64::from(mechanism.0));
+        FramePump::new()
+            .run(&mut receiver, &mut sender)
             .unwrap_or_else(|e| panic!("{mechanism}: session failed: {e}"));
-        assert!(session.is_done(), "{mechanism}: session did not finish");
+        assert!(receiver.is_done(), "{mechanism}: session did not finish");
         assert_eq!(
-            session.plan(),
+            receiver.plan(),
             Some(TransferPlan::Reconciled { summary: mechanism }),
             "{mechanism}: plan must carry the pinned id"
         );
+        let gained = receiver.gained();
+        assert!(gained > 0, "{mechanism}: no symbols moved end-to-end");
         assert!(
-            session.gained() > 0,
-            "{mechanism}: no symbols moved end-to-end"
-        );
-        assert!(
-            session.gained() <= true_diff,
-            "{mechanism}: gained {} exceeds the true difference {true_diff}",
-            session.gained()
+            gained <= true_diff,
+            "{mechanism}: gained {gained} exceeds the true difference {true_diff}"
         );
         // Exact mechanisms deliver the full difference; approximate ones
         // must clear a usable share (one-sided error only withholds).
         let exact = mechanism == SummaryId::WHOLE_SET || mechanism == SummaryId::CHAR_POLY;
         if exact {
-            assert_eq!(
-                session.gained(),
-                true_diff,
-                "{mechanism}: exact mechanism fell short"
-            );
+            assert_eq!(gained, true_diff, "{mechanism}: exact mechanism fell short");
         } else {
             assert!(
-                session.gained() * 2 >= true_diff,
-                "{mechanism}: cleared only {} of {true_diff}",
-                session.gained()
+                gained * 2 >= true_diff,
+                "{mechanism}: cleared only {gained} of {true_diff}"
             );
         }
         // One-sided error: everything gained came from the sender.
-        for id in receiver_ws.ids() {
+        for id in receiver.working().ids() {
             if !before.contains(&id) {
                 assert!(sender_ids.contains(&id), "{mechanism}: alien symbol {id}");
             }
@@ -179,26 +199,31 @@ fn every_registered_summary_carries_a_session_end_to_end() {
 }
 
 #[test]
-fn poll_style_stepping_matches_the_batch_pump_exactly() {
-    // Two identical session pairs: one driven by the blocking-style
-    // batch pump, one a message at a time through the poll API. Same
-    // delivery counts, same plan, same gained symbols.
+fn poll_style_stepping_matches_the_batch_run_exactly() {
+    // Two identical machine pairs: one driven by the batch `run`, one a
+    // frame at a time through `step`. Both must reproduce the outcome
+    // captured from the retired message-level pump on this scenario.
     let make = || {
         let (receiver_ws, sender_ws) = overlapping_sets(900, 100, 300);
         let config = SessionConfig::new().with_request(250).with_seed(0xAA);
-        let (session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let sender = SenderSession::new(sender_ws, 0xBB);
-        (receiver_ws, session, sender, opening)
+        (
+            ReceiverMachine::new(receiver_ws, config),
+            SenderMachine::new(sender_ws, 0xBB),
+        )
     };
-    let (mut ws_batch, mut recv_batch, mut send_batch, opening_batch) = make();
-    let counts_batch =
-        pump(&mut recv_batch, &mut ws_batch, &mut send_batch, opening_batch).expect("batch");
+    let (mut recv_batch, mut send_batch) = make();
+    let mut batch = FramePump::new();
+    batch.run(&mut recv_batch, &mut send_batch).expect("batch");
 
-    let (mut ws_step, mut recv_step, mut send_step, opening_step) = make();
-    let mut queues = SessionPump::new(opening_step);
+    let (mut recv_step, mut send_step) = make();
+    let mut queues = FramePump::new();
+    let mut actions = Vec::new();
+    queues
+        .start(&mut recv_step, &mut send_step, &mut actions)
+        .expect("start");
     let mut steps = 0u64;
     while queues
-        .step(&mut recv_step, &mut ws_step, &mut send_step)
+        .step(&mut recv_step, &mut send_step, &mut actions)
         .expect("step")
         == PumpStep::Progressed
     {
@@ -206,15 +231,26 @@ fn poll_style_stepping_matches_the_batch_pump_exactly() {
         assert!(steps < 100_000, "step driver must terminate");
     }
     assert!(queues.is_idle());
-    assert_eq!(queues.delivered(), counts_batch);
-    assert_eq!(recv_step.plan(), recv_batch.plan());
-    assert_eq!(recv_step.gained(), recv_batch.gained());
-    assert_eq!(ws_step.len(), ws_batch.len());
+    for (pump, recv) in [(&batch, &recv_batch), (&queues, &recv_step)] {
+        let (to_sender, to_receiver) = pump.wire_bytes();
+        assert_eq!(to_sender + to_receiver, 9415);
+        assert_eq!(pump.frames(), (3, 252));
+        assert_eq!(
+            recv.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::BLOOM
+            })
+        );
+        assert_eq!(recv.gained(), 250);
+        let final_ids = recv.working().sorted_ids();
+        assert_eq!(final_ids.len(), 1250);
+        assert_eq!(fnv(&final_ids), 0x151e_b770_57a0_d0e5);
+    }
     // Once idle, further steps stay idle without blocking or erroring.
     for _ in 0..3 {
         assert_eq!(
             queues
-                .step(&mut recv_step, &mut ws_step, &mut send_step)
+                .step(&mut recv_step, &mut send_step, &mut actions)
                 .expect("idle step"),
             PumpStep::Idle
         );
@@ -222,45 +258,9 @@ fn poll_style_stepping_matches_the_batch_pump_exactly() {
 }
 
 #[test]
-fn independent_sessions_interleave_one_message_at_a_time() {
-    // The event-driven shape: a scheduler round-robins single steps of
-    // two unrelated sessions. Each must finish exactly as it would have
-    // run alone — no cross-talk through the poll API.
-    let solo = |seed: u64| {
-        let (mut ws, sender_ws) = overlapping_sets(600, 50, 200);
-        let config = SessionConfig::new().with_request(150).with_seed(seed);
-        let (mut session, opening) = ReceiverSession::start(&ws, config);
-        let mut sender = SenderSession::new(sender_ws, seed ^ 0xF0);
-        pump(&mut session, &mut ws, &mut sender, opening).expect("solo");
-        (session.gained(), ws.len())
-    };
-    let expect_a = solo(0x01);
-    let expect_b = solo(0x02);
-
-    let start = |seed: u64| {
-        let (ws, sender_ws) = overlapping_sets(600, 50, 200);
-        let config = SessionConfig::new().with_request(150).with_seed(seed);
-        let (session, opening) = ReceiverSession::start(&ws, config);
-        let sender = SenderSession::new(sender_ws, seed ^ 0xF0);
-        (ws, session, sender, SessionPump::new(opening))
-    };
-    let (mut ws_a, mut recv_a, mut send_a, mut pump_a) = start(0x01);
-    let (mut ws_b, mut recv_b, mut send_b, mut pump_b) = start(0x02);
-    loop {
-        let a = pump_a.step(&mut recv_a, &mut ws_a, &mut send_a).expect("a");
-        let b = pump_b.step(&mut recv_b, &mut ws_b, &mut send_b).expect("b");
-        if a == PumpStep::Idle && b == PumpStep::Idle {
-            break;
-        }
-    }
-    assert_eq!((recv_a.gained(), ws_a.len()), expect_a);
-    assert_eq!((recv_b.gained(), ws_b.len()), expect_b);
-}
-
-#[test]
 fn both_plans_deliver_only_authentic_novel_symbols() {
     for fine_grained in [true, false] {
-        let (mut receiver_ws, sender_ws) = overlapping_sets(800, 150, 400);
+        let (receiver_ws, sender_ws) = overlapping_sets(800, 150, 400);
         let before: std::collections::HashSet<u64> = receiver_ws.ids().collect();
         let sender_ids: std::collections::HashSet<u64> = sender_ws.ids().collect();
         let config = SessionConfig {
@@ -271,11 +271,9 @@ fn both_plans_deliver_only_authentic_novel_symbols() {
             },
             ..SessionConfig::default()
         };
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws, 7);
-        pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
-        assert!(session.gained() > 0);
-        for s in receiver_ws.symbols() {
+        let receiver = session(receiver_ws, sender_ws, config, 7);
+        assert!(receiver.gained() > 0);
+        for s in receiver.working().symbols() {
             if !before.contains(&s.id) {
                 assert!(
                     sender_ids.contains(&s.id),

@@ -1,13 +1,13 @@
-//! Property test for the sans-I/O machine layer: any interleaving of
-//! frame-level `step` orderings across two independent session pairs
-//! must leave each pair exactly where the batch message-level [`pump`]
-//! leaves its twin — same plan, same gain, same final working set, same
-//! wire bytes. Extends the step-vs-batch equality pinned for
-//! `SessionPump` in `session_pump.rs` to the event-driven API.
+//! Property test for the sans-I/O machines: any interleaving of
+//! `FramePump::step` orderings across two independent session pairs
+//! must leave each pair exactly where a batch `FramePump::run` leaves
+//! its twin — same gain, same final working set, same wire bytes. The
+//! deterministic scenario below is additionally pinned to constants
+//! captured from the retired message-level session pump.
 
 use bytes::Bytes;
 use icd_core::machine::{FramePump, ReceiverMachine, SenderMachine, SessionAction};
-use icd_core::{pump_observed, ReceiverSession, SenderSession, SessionConfig, WorkingSet};
+use icd_core::{SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -40,33 +40,6 @@ fn overlapping_sets(
     (receiver, sender)
 }
 
-/// One scenario's reference run through the batch message pump.
-struct BatchOutcome {
-    gained: u64,
-    final_ids: Vec<u64>,
-    wire_bytes: u64,
-}
-
-fn batch_reference(scenario: &Scenario) -> BatchOutcome {
-    let (mut ws, sender_ws) =
-        overlapping_sets(scenario.shared, scenario.recv_extra, scenario.send_extra, scenario.salt);
-    let config = SessionConfig::new()
-        .with_request(scenario.request)
-        .with_seed(scenario.session_seed);
-    let (mut session, opening) = ReceiverSession::start(&ws, config);
-    let mut sender = SenderSession::new(sender_ws, scenario.sender_seed);
-    let mut wire_bytes = 0u64;
-    pump_observed(&mut session, &mut ws, &mut sender, opening, |msg| {
-        wire_bytes += msg.frame_len() as u64;
-    })
-    .expect("batch pump");
-    BatchOutcome {
-        gained: session.gained(),
-        final_ids: ws.sorted_ids(),
-        wire_bytes,
-    }
-}
-
 #[derive(Clone, Copy)]
 struct Scenario {
     shared: usize,
@@ -90,11 +63,40 @@ fn machines_for(scenario: &Scenario) -> (ReceiverMachine, SenderMachine) {
     )
 }
 
+/// One scenario's reference outcome.
+struct BatchOutcome {
+    gained: u64,
+    final_ids: Vec<u64>,
+    wire_bytes: u64,
+}
+
+/// The reference run: a twin pair driven to quiescence in one batch.
+fn batch_reference(scenario: &Scenario) -> BatchOutcome {
+    let (mut recv, mut send) = machines_for(scenario);
+    let mut pump = FramePump::new();
+    pump.run(&mut recv, &mut send).expect("batch run");
+    let (to_sender, to_receiver) = pump.wire_bytes();
+    BatchOutcome {
+        gained: recv.gained(),
+        final_ids: recv.working().sorted_ids(),
+        wire_bytes: to_sender + to_receiver,
+    }
+}
+
+/// FNV-1a over the ids' little-endian bytes.
+fn fnv(ids: &[u64]) -> u64 {
+    ids.iter()
+        .flat_map(|id| id.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn any_step_interleaving_matches_the_batch_pump(
+    fn any_step_interleaving_matches_a_twin_batch_run(
         shared in 50usize..250,
         recv_extra in 5usize..60,
         send_extra in 20usize..120,
@@ -181,9 +183,10 @@ proptest! {
 }
 
 #[test]
-fn machine_layer_and_legacy_pump_share_one_protocol() {
-    // Deterministic smoke of the same equivalence outside the proptest
-    // harness: the two APIs speak byte-identical protocol.
+fn interleave_scenario_reproduces_the_message_level_reference() {
+    // Constants captured from the retired message-level session layer
+    // (its batch pump, summing `Message::frame_len`) before it was
+    // folded into the machines.
     let scenario = Scenario {
         shared: 400,
         recv_extra: 50,
@@ -193,12 +196,14 @@ fn machine_layer_and_legacy_pump_share_one_protocol() {
         sender_seed: 0xB0B,
         salt: 0,
     };
-    let expect = batch_reference(&scenario);
     let (mut recv, mut send) = machines_for(&scenario);
     let mut pump = FramePump::new();
     pump.run(&mut recv, &mut send).expect("machine run");
-    assert_eq!(recv.gained(), expect.gained);
-    assert_eq!(recv.working().sorted_ids(), expect.final_ids);
     let (ts, tr) = pump.wire_bytes();
-    assert_eq!(ts + tr, expect.wire_bytes);
+    assert_eq!(ts + tr, 5615);
+    assert_eq!(pump.frames(), (3, 122));
+    assert_eq!(recv.gained(), 120);
+    let final_ids = recv.working().sorted_ids();
+    assert_eq!(final_ids.len(), 570);
+    assert_eq!(fnv(&final_ids), 0xf8ae_6997_4acc_344e);
 }

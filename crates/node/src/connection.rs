@@ -478,4 +478,60 @@ mod tests {
             Err(HelloError::Io(_))
         ));
     }
+
+    /// An in-memory duplex: the dialer's frames are scripted up front,
+    /// the serving side's replies collect in `written`.
+    struct ScriptedDialer {
+        inbound: std::io::Cursor<Vec<u8>>,
+        written: Vec<u8>,
+    }
+
+    impl Read for ScriptedDialer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inbound.read(buf)
+        }
+    }
+
+    impl Write for ScriptedDialer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn serve_session_refuses_an_unbounded_symbol_request() {
+        // A hostile dialer sends a matching-family sketch, skips the
+        // summary, and asks for u64::MAX speculative symbols. The serve
+        // must fail with a typed protocol error (which the daemon counts
+        // as a degraded session) after writing only its own sketch,
+        // instead of materialising an unbounded recoded stream.
+        let snapshot = WorkingSet::from_symbols((0..64u64).map(|id| EncodedSymbol {
+            id,
+            payload: icd_overlay::session_payload(id, 16),
+        }));
+        let sketch = Message::Minwise(snapshot.sketch().clone());
+        let mut inbound = Vec::new();
+        for msg in [&sketch, &Message::SymbolRequest { count: u64::MAX }] {
+            icd_wire::write_frame(&mut inbound, msg).expect("script frame");
+        }
+        let mut dialer = ScriptedDialer {
+            inbound: std::io::Cursor::new(inbound),
+            written: Vec::new(),
+        };
+        let served = serve_session(&mut dialer, snapshot, 9);
+        assert!(
+            matches!(
+                served,
+                Err(DriveError::Machine(icd_core::MachineError::Session(
+                    icd_core::SessionError::RequestTooLarge { count: u64::MAX }
+                )))
+            ),
+            "got {served:?}"
+        );
+        assert_eq!(dialer.written.len(), sketch.frame_len());
+    }
 }

@@ -350,7 +350,7 @@ impl LinkSource<'_> {
 
 /// State of one session link: the two machines and their frame outboxes.
 /// The engine is the driver — each send opportunity moves at most one
-/// frame per direction (mirroring `SessionPump::step`), applies
+/// frame per direction (mirroring `FramePump::step`), applies
 /// rate/latency/loss to the real framed byte length, and feeds arrivals
 /// back in as [`SessionEvent::FrameReceived`].
 #[derive(Debug)]
@@ -1480,7 +1480,7 @@ impl<'s> OverlayNet<'s> {
     }
 
     /// One send opportunity on a session link: moves at most one queued
-    /// frame per direction (mirroring `SessionPump::step`), booking the
+    /// frame per direction (mirroring `FramePump::step`), booking the
     /// real framed byte length against the link and applying loss to
     /// data-plane frames only.
     fn process_session_send(&mut self, l: LinkId) -> Option<StopReason> {
