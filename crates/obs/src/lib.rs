@@ -1,25 +1,19 @@
-//! Observability plane: deterministic tracing, metrics, and wall-clock
-//! profiling for the ICD workspace.
+//! Observability plane: deterministic tracing and metrics for the ICD
+//! workspace.
 //!
-//! Three strictly separated concerns, because they sit on opposite
-//! sides of the repo's load-bearing determinism invariant:
+//! Two separated concerns:
 //!
 //! * [`trace`] — the **deterministic structured trace plane**. Events
 //!   are stamped only with engine time and a push-assigned sequence
-//!   number, never with wall clock, so a trace is itself a parity
-//!   artifact: a serial run and an `ICD_SHARDS=8` run of the same
-//!   scenario must emit **byte-identical** JSONL
-//!   (`crates/swarm/tests/trace_parity.rs` pins exactly that).
+//!   number, never with wall clock, so a trace is itself a golden
+//!   artifact: every run of the same `(config, seed)` emits
+//!   **byte-identical** JSONL (`crates/swarm/tests/trace_parity.rs`
+//!   pins the hashes).
 //! * [`metrics`] — a dependency-free **metrics registry**: atomic
 //!   counters, gauges, and log2-bucket histograms behind shared
 //!   handles, snapshotted into a typed, JSON-exportable struct.
 //!   Registries are `Sync` so the same type serves the single-threaded
 //!   engine and the multi-threaded `icd-node` daemon.
-//! * [`profile`] — **wall-clock phase accumulators**, kept strictly
-//!   *outside* the parity domain: scope timers around the sharded
-//!   executor's generate/merge/commit/barrier phases feed
-//!   `perf_baseline` probes, and nothing they measure may ever flow
-//!   back into an outcome or a trace.
 //!
 //! Every recorder is optional everywhere it can be installed: the hot
 //! paths pay one `Option` discriminant check when nothing is installed
@@ -29,13 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::{PhaseProfile, PhaseStat, ProfileHandle};
 pub use trace::{
     SyncTraceHandle, TraceBuf, TraceEvent, TraceHandle, TraceParseError, TraceRecord,
 };

@@ -1,26 +1,26 @@
-//! Trace parity: a structured trace is a deterministic artifact of
-//! `(config, seed)`, not of the execution strategy. The sharded
-//! executor replays each window's committed sends through the same
-//! global `(tick, link)` merge order the serial engine emits them in,
-//! so the exported JSONL must be *byte-identical* at every shard count
-//! — one worker thread per shard, so `shards = 8` is also the
-//! eight-thread execution of the same scenario. This suite pins that
-//! for the churning swarm, the fault-injected swarm, and the mesh
-//! preset, and checks the export round-trips through the parser.
+//! Trace goldens: a structured trace is a deterministic artifact of
+//! `(config, seed)`. This suite pins the exported JSONL of the churning
+//! swarm, the fault-injected swarm and the mesh preset by an FNV-1a
+//! hash, together with the full outcome struct of each run, so any
+//! change to the engine's event order, counters or trace schema shows
+//! up here. The swarm goldens also cross-check the trace against the
+//! packet counter, and a last test round-trips the export through the
+//! parser.
 
 use icd_obs::{TraceBuf, TraceEvent};
-use icd_overlay::net::{run_mesh_download_with, Link};
+use icd_overlay::net::{run_mesh_download, run_mesh_download_with, Link, MeshOutcome, StopReason};
 use icd_overlay::scenario::ScenarioParams;
-use icd_swarm::{ChurnConfig, FaultConfig, Swarm, SwarmConfig, TopologyKind};
+use icd_overlay::TransferOutcome;
+use icd_summary::SummaryId;
+use icd_swarm::{ChurnConfig, FaultConfig, Swarm, SwarmConfig, SwarmOutcome, TopologyKind};
 
 const SEED: u64 = 0x1CD_BA5E;
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-/// Large enough that no scenario here ever evicts — the comparisons
-/// below cover the *whole* trace, not a ring tail.
+/// Large enough that no scenario here ever evicts — the goldens below
+/// cover the *whole* trace, not a ring tail.
 const CAP: usize = 1 << 22;
 
-/// The shard-parity swarm geometry: power-law topology, heterogeneous
-/// link rates, ≥10% churn.
+/// The churned swarm geometry: power-law topology, heterogeneous link
+/// rates, ≥10% churn.
 fn churny_config(peers: usize) -> SwarmConfig {
     let profiles: Vec<Link> = [1u64, 2, 4, 8, 16].iter().map(|&f| Link::slower(f)).collect();
     let mut cfg = SwarmConfig::new(peers, 48, TopologyKind::PowerLaw { m: 2 })
@@ -36,18 +36,24 @@ fn churny_config(peers: usize) -> SwarmConfig {
     cfg
 }
 
-/// Runs the swarm at `shards` with a recorder installed and returns the
+/// FNV-1a over the exported JSONL bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs the swarm with a recorder installed and returns its outcome and
 /// exported JSONL.
-fn swarm_trace_at(shards: usize, cfg: &SwarmConfig, seed: u64) -> String {
+fn traced_swarm(cfg: &SwarmConfig, seed: u64) -> (SwarmOutcome, String) {
     let mut swarm = Swarm::new(cfg.clone(), seed);
-    swarm.set_shards(shards);
     let tracer = TraceBuf::shared(CAP);
     swarm.set_tracer(tracer.clone());
     let out = swarm.run();
     assert!(out.all_complete(), "run must complete: {:?}", out.stop);
     let buf = tracer.borrow();
-    assert_eq!(buf.dropped(), 0, "ring must not evict during parity runs");
-    buf.to_jsonl()
+    assert_eq!(buf.dropped(), 0, "ring must not evict during golden runs");
+    (out, buf.to_jsonl())
 }
 
 /// Counts records whose event tag is `tag`.
@@ -57,75 +63,122 @@ fn count_tag(jsonl: &str, tag: &str) -> usize {
 }
 
 #[test]
-fn swarm_trace_byte_identical_at_any_shard_count() {
+fn swarm_trace_and_outcome_match_golden() {
     let cfg = churny_config(200);
-    let base = swarm_trace_at(1, &cfg, SEED ^ 13);
-    assert!(count_tag(&base, "link_send") > 0, "no data plane traced");
-    assert!(count_tag(&base, "round_start") > 0, "no rounds traced");
-    assert!(count_tag(&base, "link_up") > 0, "no control plane traced");
-    for shards in SHARD_COUNTS {
-        let got = swarm_trace_at(shards, &cfg, SEED ^ 13);
-        assert!(
-            base == got,
-            "trace diverged at {shards} shards (serial {} lines, sharded {} lines)",
-            base.lines().count(),
-            got.lines().count()
-        );
-    }
+    let (traced, jsonl) = traced_swarm(&cfg, SEED ^ 13);
+    assert!(count_tag(&jsonl, "round_start") > 0, "no rounds traced");
+    assert!(count_tag(&jsonl, "link_up") > 0, "no control plane traced");
+    let golden = SwarmOutcome {
+        peers: 202,
+        completed: 202,
+        ticks: 313,
+        events: 10_259,
+        packets: 9_600,
+        wire_bytes: 10_085_895,
+        overhead: 1.928485335476095,
+        joins: 2,
+        leaves: 20,
+        rejoins: 20,
+        rewires: 2,
+        reconnects: 297,
+        retries: 0,
+        wasted_wire_bytes: 0,
+        faults_applied: 0,
+        unapplied_faults: 0,
+        unapplied_events: 0,
+        stop: StopReason::Completed,
+    };
+    assert_eq!(Swarm::new(cfg, SEED ^ 13).run(), golden, "untraced outcome");
+    assert_eq!(traced, golden, "tracing must not perturb the run");
+    // Trace vs counter: every packet sent is one `link_send` record.
+    assert_eq!(count_tag(&jsonl, "link_send") as u64, golden.packets);
+    assert_eq!(jsonl.lines().count(), 11_312);
+    assert_eq!(fnv(jsonl.as_bytes()), 0xb11a_d1ab_b784_6f84);
 }
 
 #[test]
-fn faulty_swarm_trace_byte_identical_at_any_shard_count() {
+fn faulty_swarm_trace_and_outcome_match_golden() {
     let cfg = churny_config(200).with_faults(FaultConfig::link_cuts(10, (5, 160)));
-    let base = swarm_trace_at(1, &cfg, SEED ^ 14);
+    let (traced, jsonl) = traced_swarm(&cfg, SEED ^ 14);
     assert!(
-        count_tag(&base, "fault_applied") > 0,
-        "fault plane must fire for the parity to mean anything"
+        count_tag(&jsonl, "fault_applied") > 0,
+        "fault plane must fire for the golden to mean anything"
     );
-    for shards in SHARD_COUNTS {
-        let got = swarm_trace_at(shards, &cfg, SEED ^ 14);
-        assert!(base == got, "faulty trace diverged at {shards} shards");
-    }
+    let golden = SwarmOutcome {
+        peers: 202,
+        completed: 202,
+        ticks: 275,
+        events: 10_274,
+        packets: 9_607,
+        wire_bytes: 10_092_499,
+        overhead: 1.9314435062324085,
+        joins: 2,
+        leaves: 20,
+        rejoins: 20,
+        rewires: 2,
+        reconnects: 276,
+        retries: 0,
+        wasted_wire_bytes: 0,
+        faults_applied: 7,
+        unapplied_faults: 0,
+        unapplied_events: 0,
+        stop: StopReason::Completed,
+    };
+    assert_eq!(Swarm::new(cfg, SEED ^ 14).run(), golden, "untraced outcome");
+    assert_eq!(traced, golden, "tracing must not perturb the run");
+    assert_eq!(count_tag(&jsonl, "link_send") as u64, golden.packets);
+    assert_eq!(jsonl.lines().count(), 11_294);
+    assert_eq!(fnv(jsonl.as_bytes()), 0xfeb5_df0c_86f3_b045);
 }
 
 /// The mesh preset builds its net internally; the recorder rides in via
-/// `run_mesh_download_with`'s setup hook and the shard count via
-/// `ICD_SHARDS` (removed again before returning, as in `shard_parity`).
+/// `run_mesh_download_with`'s setup hook.
 #[test]
-fn mesh_trace_byte_identical_at_any_shard_count() {
+fn mesh_trace_and_outcome_match_golden() {
     let params = ScenarioParams::compact(1_500, 0xBEAD);
-    let lossy = Link {
-        loss: 0.05,
-        ..Link::default()
-    };
-    let at = |shards: usize| -> String {
-        std::env::set_var("ICD_SHARDS", shards.to_string());
-        let tracer = TraceBuf::shared(CAP);
-        let handle = tracer.clone();
-        let out = run_mesh_download_with(
-            &params,
-            3,
-            0.2,
-            &[Link::default(), lossy],
-            true,
-            0x31337,
-            move |net| net.set_tracer(handle),
-        );
-        std::env::remove_var("ICD_SHARDS");
-        assert!(out.transfer.completed, "mesh must complete");
-        let jsonl = tracer.borrow().to_jsonl();
-        jsonl
-    };
-    let base = at(1);
-    assert!(count_tag(&base, "link_send") > 0);
+    let profiles = [
+        Link::default(),
+        Link {
+            loss: 0.05,
+            ..Link::default()
+        },
+    ];
+    let tracer = TraceBuf::shared(CAP);
+    let handle = tracer.clone();
+    let traced = run_mesh_download_with(&params, 3, 0.2, &profiles, true, 0x31337, move |net| {
+        net.set_tracer(handle)
+    });
+    let jsonl = tracer.borrow().to_jsonl();
+    assert!(count_tag(&jsonl, "link_send") > 0);
     assert!(
-        count_tag(&base, "summary_exchanged") > 0,
+        count_tag(&jsonl, "summary_exchanged") > 0,
         "connect-time control plane must be captured by the setup hook"
     );
-    for shards in SHARD_COUNTS {
-        let got = at(shards);
-        assert!(base == got, "mesh trace diverged at {shards} shards");
-    }
+    let golden = MeshOutcome {
+        transfer: TransferOutcome {
+            ticks: 527,
+            packets_from_partial: 1_579,
+            packets_from_full: 0,
+            gained: 1_136,
+            needed: 1_120,
+            completed: true,
+        },
+        summaries: vec![SummaryId::BLOOM; 3],
+        packets_lost: 22,
+        seeder_gained: 1_136,
+        wire_bytes: 1_722_456,
+        wasted_wire_bytes: 24_150,
+        events: 3_157,
+        stop: StopReason::Completed,
+    };
+    assert_eq!(
+        run_mesh_download(&params, 3, 0.2, &profiles, true, 0x31337),
+        golden,
+        "untraced outcome"
+    );
+    assert_eq!(traced, golden, "tracing must not perturb the run");
+    assert_eq!(jsonl.lines().count(), 3_169);
+    assert_eq!(fnv(jsonl.as_bytes()), 0x24d7_6ecd_2610_43b2);
 }
 
 /// A real engine trace survives the JSONL round trip — not just the
