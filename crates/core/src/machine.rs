@@ -422,7 +422,7 @@ impl ReceiverMachine {
     #[must_use]
     pub fn new(working: WorkingSet, config: SessionConfig) -> Self {
         let mut buffer = RecodeBuffer::new();
-        for sym in working.symbols() {
+        for sym in working.sorted_symbols() {
             let _ = buffer.add_known(&sym);
         }
         Self {
@@ -823,7 +823,7 @@ impl SenderMachine {
                     rs.estimate(self.working.sketch()).containment_of_b()
                 });
                 let recoder = Recoder::new(
-                    self.working.symbols().collect(),
+                    self.working.sorted_symbols(),
                     icd_fountain::recode::PAPER_DEGREE_LIMIT,
                     RecodePolicy::MinwiseScaled { containment },
                 );
@@ -1256,14 +1256,20 @@ mod tests {
         Bytes::from(out)
     }
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds `bytes` into the FNV-1a hash `h`.
+    fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over the ids' little-endian bytes: a compact fingerprint
     /// of a final working set.
     fn fnv(ids: &[u64]) -> u64 {
         ids.iter()
-            .flat_map(|id| id.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+            .fold(FNV_OFFSET, |h, id| fnv_fold(h, &id.to_le_bytes()))
     }
 
     /// Build the canonical overlapping scenario: receiver has
@@ -1468,6 +1474,61 @@ mod tests {
                 assert_eq!(payload.as_ref(), &id.to_le_bytes());
             }
         }
+    }
+
+    #[test]
+    fn speculative_stream_is_independent_of_insertion_order() {
+        // A recoded stream is a function of the two sets and the seed:
+        // the same sets built in opposite insertion orders must put the
+        // same frames on the wire, pinned here as one FNV-1a hash over
+        // every frame in delivery order.
+        let shared = ids(300, 50);
+        let fresh = ids(100, 51);
+        let sender_ids = union(&shared, &fresh);
+        let reversed = |v: &[u64]| v.iter().rev().copied().collect::<Vec<_>>();
+        let config = SessionConfig::new()
+            .with_request(150)
+            .with_knobs(PolicyKnobs {
+                fine_grained_capable: false,
+                ..PolicyKnobs::default()
+            });
+        let frame_hash = |receiver_ids: &[u64], sender_ids: &[u64]| {
+            let mut receiver = ReceiverMachine::new(working(receiver_ids), config.clone());
+            let mut sender = SenderMachine::new(working(sender_ids), 52);
+            let mut pump = FramePump::new();
+            let mut actions = Vec::new();
+            pump.start(&mut receiver, &mut sender, &mut actions)
+                .expect("start");
+            let mut hash = FNV_OFFSET;
+            loop {
+                for frame in pump
+                    .to_sender
+                    .front()
+                    .into_iter()
+                    .chain(pump.to_receiver.front())
+                {
+                    hash = fnv_fold(hash, frame);
+                }
+                if pump
+                    .step(&mut receiver, &mut sender, &mut actions)
+                    .expect("step")
+                    == PumpStep::Idle
+                {
+                    break;
+                }
+            }
+            assert!(matches!(
+                receiver.plan(),
+                Some(TransferPlan::Speculative { .. })
+            ));
+            (hash, pump.frames(), receiver.gained())
+        };
+        let forward = frame_hash(&shared, &sender_ids);
+        assert_eq!(
+            forward,
+            frame_hash(&reversed(&shared), &reversed(&sender_ids))
+        );
+        assert_eq!(forward, (0x1b2d_c418_8e73_2194, (2, 152), 28));
     }
 
     #[test]

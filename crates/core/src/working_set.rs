@@ -1,29 +1,33 @@
-//! A peer's working set: symbols plus incrementally maintained summaries.
+//! A peer's working set: symbols plus an incrementally maintained sketch.
 //!
 //! §4 requires that "all of our approaches can be incrementally updated
 //! upon acquisition of new content, with constant overhead per receipt
 //! of each new element". [`WorkingSet::insert`] therefore updates the
-//! min-wise sketch (O(width) field ops) and the reconciliation tree
-//! (O(log n)) on every arrival; Bloom filters and ART summaries — which
-//! are built *for a particular peer exchange* — are generated on demand
-//! from current state.
+//! min-wise sketch (O(width) field ops) on every arrival; Bloom filters
+//! and ART summaries — which are built *for a particular peer exchange*
+//! — are generated on demand from [`WorkingSet::sorted_ids`].
 
 use bytes::Bytes;
-use icd_art::{ArtParams, ReconciliationTree};
 use icd_fountain::{EncodedSymbol, SymbolId};
 use icd_sketch::{MinwiseSketch, OverlapEstimate, PermutationFamily};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The protocol-wide permutation-family seed (all peers must agree).
 pub const FAMILY_SEED: u64 = 0x1CD0_F00D;
 
-/// A peer's inventory of encoded symbols with live summaries.
+/// The standard family every working set sketches under, derived once
+/// per process rather than once per set.
+fn family() -> &'static PermutationFamily {
+    static FAMILY: OnceLock<PermutationFamily> = OnceLock::new();
+    FAMILY.get_or_init(|| PermutationFamily::standard(FAMILY_SEED))
+}
+
+/// A peer's inventory of encoded symbols with a live min-wise sketch.
 #[derive(Debug, Clone)]
 pub struct WorkingSet {
     symbols: HashMap<SymbolId, Bytes>,
     sketch: MinwiseSketch,
-    tree: ReconciliationTree,
-    family: PermutationFamily,
 }
 
 impl Default for WorkingSet {
@@ -36,12 +40,9 @@ impl WorkingSet {
     /// Creates an empty working set with the standard (1 KB) sketch.
     #[must_use]
     pub fn new() -> Self {
-        let family = PermutationFamily::standard(FAMILY_SEED);
         Self {
-            sketch: MinwiseSketch::new(&family),
-            tree: ReconciliationTree::new(ArtParams::default()),
+            sketch: MinwiseSketch::new(family()),
             symbols: HashMap::new(),
-            family,
         }
     }
 
@@ -56,13 +57,12 @@ impl WorkingSet {
     }
 
     /// Inserts a symbol; returns `false` (and changes nothing) if the id
-    /// was already present. Sketch and tree update incrementally.
+    /// was already present. The sketch updates incrementally.
     pub fn insert(&mut self, symbol: EncodedSymbol) -> bool {
         if self.symbols.contains_key(&symbol.id) {
             return false;
         }
-        self.sketch.insert(&self.family, symbol.id);
-        self.tree.insert(symbol.id);
+        self.sketch.insert(family(), symbol.id);
         self.symbols.insert(symbol.id, symbol.payload);
         true
     }
@@ -127,6 +127,16 @@ impl WorkingSet {
         })
     }
 
+    /// Materializes the symbols in ascending id order: the form recoders
+    /// and decode buffers are seeded with, so a speculative stream is a
+    /// function of the set and the seed, never of hash-map order.
+    #[must_use]
+    pub(crate) fn sorted_symbols(&self) -> Vec<EncodedSymbol> {
+        let mut symbols: Vec<EncodedSymbol> = self.symbols().collect();
+        symbols.sort_unstable_by_key(|s| s.id);
+        symbols
+    }
+
     /// The live min-wise sketch (the §4 calling card).
     #[must_use]
     pub fn sketch(&self) -> &MinwiseSketch {
@@ -138,12 +148,6 @@ impl WorkingSet {
     #[must_use]
     pub fn estimate_against(&self, peer_sketch: &MinwiseSketch) -> OverlapEstimate {
         self.sketch.estimate(peer_sketch)
-    }
-
-    /// The live reconciliation tree (for searching a peer's summary).
-    #[must_use]
-    pub fn tree(&self) -> &ReconciliationTree {
-        &self.tree
     }
 }
 
@@ -184,9 +188,9 @@ mod tests {
             a.insert(sym(id));
         }
         let b = WorkingSet::from_symbols(ids.iter().map(|&id| sym(id)));
-        // Same contents → identical sketches and identical tree roots.
+        // Same contents → identical ids and identical sketches.
+        assert_eq!(a.sorted_ids(), b.sorted_ids());
         assert_eq!(a.sketch().minima(), b.sketch().minima());
-        assert_eq!(a.tree().root_value(), b.tree().root_value());
         let est = a.estimate_against(b.sketch());
         assert_eq!(est.resemblance(), 1.0);
         assert!(est.is_identical(0.01), "admission control should reject");
@@ -256,6 +260,7 @@ mod tests {
         let collected: Vec<EncodedSymbol> = ws.symbols().collect();
         assert_eq!(collected.len(), 50);
         let rebuilt = WorkingSet::from_symbols(collected);
-        assert_eq!(rebuilt.tree().root_value(), ws.tree().root_value());
+        assert_eq!(rebuilt.sorted_ids(), ws.sorted_ids());
+        assert_eq!(rebuilt.sketch(), ws.sketch());
     }
 }

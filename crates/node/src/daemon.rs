@@ -10,7 +10,7 @@
 //! semantics the simulator's churn plans use drive a real deployment's
 //! address book.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -196,21 +196,26 @@ pub struct FetchReport {
 /// `OverlayNet` freezes every endpoint's snapshot at `connect_session`
 /// time, before any frame of the round moves; byte parity with the
 /// simulator therefore requires the daemon to do the same. Each
-/// [`Node::advance_round`] call is one such barrier: it refreshes the
-/// sender inventory exactly like the engine's `refresh_inventory`
-/// (fresh ids appended in sorted order) and freezes both the serve
-/// snapshot and the receiver's sorted snapshot + request for the round.
+/// [`Node::advance_round`] call is one such barrier: it clones the
+/// shared working set once, and that clone is the round's snapshot on
+/// both sides — the set every dialer of the round is served from and
+/// the set this node's own fetches open with — just as the engine's
+/// refreshed sender inventory and its receiver working set are one set.
 #[derive(Debug)]
 struct Rounds {
-    /// Sender inventory in the engine's canonical order: the initial
-    /// share, then each barrier's fresh ids appended in sorted order.
-    inventory: Vec<u64>,
-    /// Frozen serve (sender-side) snapshots, indexed by round.
+    /// Frozen snapshots, indexed by round.
     serve: Vec<WorkingSet>,
-    /// Frozen receiver state per round — sorted snapshot ids and the
-    /// request count — or `None` when the node was already complete at
-    /// that barrier and dials nobody.
-    fetch: Vec<Option<(Vec<u64>, u64)>>,
+    /// The request count per round — symbols missing at the barrier —
+    /// or `None` when the node was already complete at that barrier and
+    /// dials nobody.
+    fetch: Vec<Option<u64>>,
+}
+
+/// The request a node missing `universe - held` symbols opens its
+/// fetches with, or `None` when it is complete.
+fn missing_request(universe: usize, held: usize) -> Option<u64> {
+    let missing = universe.saturating_sub(held);
+    (missing > 0).then_some(missing as u64)
 }
 
 /// Everything a serve thread needs, shared across all of them.
@@ -274,18 +279,12 @@ impl Node {
             initial_inventory.clone(),
             config.spec.universe,
         ));
-        let missing = config.spec.universe - share.len();
-        let mut sorted_share = share.clone();
-        sorted_share.sort_unstable();
-        let round0_fetch = if missing == 0 {
-            None
-        } else {
-            Some((sorted_share, missing as u64))
-        };
         let rounds = Arc::new(Mutex::new(Rounds {
-            inventory: share.clone(),
+            fetch: vec![missing_request(
+                config.spec.universe,
+                initial_inventory.len(),
+            )],
             serve: vec![initial_inventory],
-            fetch: vec![round0_fetch],
         }));
         let listener = TcpListener::bind(&config.listen)?;
         let local_addr = listener.local_addr()?;
@@ -428,47 +427,29 @@ impl Node {
         (self.rounds.lock().expect("rounds lock").serve.len() - 1) as u32
     }
 
-    /// One round barrier: refreshes the sender inventory the way the
-    /// engine's `refresh_inventory` does (fresh ids appended in sorted
-    /// order) and freezes both sides' snapshots for the new round.
-    /// Returns the new round number.
+    /// One round barrier: freezes one clone of the shared working set as
+    /// the new round's snapshot on both sides — the set its dialers are
+    /// served from and the set its own fetches open with — plus the
+    /// request those fetches carry. Returns the new round number.
     ///
     /// The harness calls this on *every* node before any node dials the
     /// next round — only then do both worlds agree on every endpoint's
     /// state, which is what makes per-round byte parity exact.
     pub fn advance_round(&self) -> u32 {
         let mut rounds = self.rounds.lock().expect("rounds lock");
-        let held = self.shared.sorted_ids();
-        let have: HashSet<u64> = rounds.inventory.iter().copied().collect();
-        // `held` is sorted, so the fresh suffix lands in sorted order.
-        let fresh: Vec<u64> = held
-            .iter()
-            .copied()
-            .filter(|id| !have.contains(id))
-            .collect();
-        rounds.inventory.extend(fresh);
-        let payload = self.config.spec.payload;
-        let serve = WorkingSet::from_symbols(rounds.inventory.iter().map(|&id| {
-            icd_fountain::EncodedSymbol {
-                id,
-                payload: session_payload(id, payload),
-            }
-        }));
-        rounds.serve.push(serve);
-        let missing = self.config.spec.universe.saturating_sub(held.len());
-        rounds.fetch.push(if missing == 0 {
-            None
-        } else {
-            Some((held, missing as u64))
-        });
+        let snapshot = self.shared.snapshot();
+        rounds
+            .fetch
+            .push(missing_request(self.config.spec.universe, snapshot.len()));
+        rounds.serve.push(snapshot);
         (rounds.serve.len() - 1) as u32
     }
 
     /// Runs every planned fetch of this node concurrently — one thread
     /// per upstream peer — and returns the reports in plan order.
     /// Sessions construct their receiver machines exactly as
-    /// `OverlayNet::connect_session` does: snapshot = the ids held at
-    /// the round barrier, sorted; request = symbols missing at the
+    /// `OverlayNet::connect_session` does: snapshot = a clone of the set
+    /// frozen at the round barrier; request = symbols missing at the
     /// barrier; machine seed derived from [`round_seed`] of the link.
     /// A node that was complete at the barrier dials nobody. Peers
     /// missing from `roster` report `"peer not in roster"` without
@@ -481,12 +462,13 @@ impl Node {
     pub fn run_fetches(&self, roster: &Roster) -> Vec<FetchReport> {
         let (round, frozen) = {
             let rounds = self.rounds.lock().expect("rounds lock");
+            let round = rounds.serve.len() - 1;
             (
-                (rounds.serve.len() - 1) as u32,
-                rounds.fetch.last().cloned().flatten(),
+                round as u32,
+                rounds.fetch[round].map(|request| (rounds.serve[round].clone(), request)),
             )
         };
-        let Some((snapshot_ids, request)) = frozen else {
+        let Some((snapshot, request)) = frozen else {
             return Vec::new();
         };
         let escalate = self.stalled.load(Ordering::SeqCst);
@@ -500,9 +482,8 @@ impl Node {
                     seed: round_seed(link.seed, round),
                     link_seed: link.seed,
                     addr: roster.addr(link.from),
-                    payload: self.config.spec.payload,
                     id: self.config.id,
-                    snapshot_ids: snapshot_ids.clone(),
+                    snapshot: snapshot.clone(),
                     request,
                     universe: self.config.spec.universe,
                     read_timeout: self.config.read_timeout,
@@ -677,10 +658,9 @@ struct FetchJob {
     /// Base link seed — jitter salt and the root of retry seeds.
     link_seed: u64,
     addr: Option<SocketAddr>,
-    payload: usize,
     id: PeerId,
-    /// Barrier-frozen receiver snapshot ids (attempt 1 only).
-    snapshot_ids: Vec<u64>,
+    /// Barrier-frozen receiver snapshot (attempt 1 only).
+    snapshot: WorkingSet,
     /// Symbols missing at the barrier (attempt 1 only).
     request: u64,
     universe: usize,
@@ -714,54 +694,29 @@ pub(crate) fn retry_seed(link_seed: u64, round: u32, attempt: u32) -> u64 {
 /// so far, including symbols the dead session delivered before it
 /// died), so recovery never re-fetches a byte of prior progress. If
 /// the node finished while backing off, the retry is skipped entirely.
-fn fetch_one(job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
+fn fetch_one(mut job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
     let mut total = WireStats::default();
     let mut gained_total = 0u64;
     let mut retries = 0u32;
     let mut attempt = 1u32;
     loop {
-        let (epoch, ids, request, seed) = if attempt == 1 && job.escalate {
-            // Stall escalation: a live speculative dial over the current
-            // set. The request carries a decoding allowance (§6.1) since
-            // recoded symbols are not individually guaranteed useful.
-            // `retry_seed(.., 1)` is otherwise unused (redials start at
-            // attempt 2), so the escalated stream never replays any
-            // planned or retried stream of this round.
-            let held = shared.sorted_ids();
-            let missing = (job.universe.saturating_sub(held.len())) as u64;
-            if missing == 0 {
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: false,
-                    }),
-                    stats: total,
-                    retries,
-                };
-            }
-            (
-                SessionEpoch::Live,
-                held,
-                missing * 2 + 4,
-                retry_seed(job.link_seed, job.round, 1),
-            )
-        } else if attempt == 1 {
+        let (epoch, snapshot, request, seed) = if attempt == 1 && !job.escalate {
             (
                 SessionEpoch::Round(job.round as u8),
-                job.snapshot_ids.clone(),
+                std::mem::take(&mut job.snapshot),
                 job.request,
                 job.seed,
             )
         } else {
-            // Resumption: re-summarize the now-larger working set.
-            let held = shared.sorted_ids();
-            let missing = (job.universe.saturating_sub(held.len())) as u64;
-            if missing == 0 {
-                // Finished while backing off — nothing left to dial for.
+            // A live dial over the current set: a stall escalation
+            // (attempt 1) or a resumption re-summarizing the now-larger
+            // set. `retry_seed(.., 1)` is otherwise unused (redials start
+            // at attempt 2), so the escalated stream never replays any
+            // planned or retried stream of this round.
+            let held = shared.snapshot();
+            let Some(missing) = missing_request(job.universe, held.len()) else {
+                // Complete already (finished while backing off, or
+                // before an escalated dial): nothing left to dial for.
                 return FetchReport {
                     from: job.from,
                     round: job.round,
@@ -774,15 +729,18 @@ fn fetch_one(job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
                     stats: total,
                     retries,
                 };
-            }
+            };
+            // An escalated request carries a decoding allowance (§6.1):
+            // recoded symbols are not individually guaranteed useful.
+            let request = if attempt == 1 { missing * 2 + 4 } else { missing };
             (
                 SessionEpoch::Live,
                 held,
-                missing,
+                request,
                 retry_seed(job.link_seed, job.round, attempt),
             )
         };
-        match dial_once(&job, epoch, &ids, request, seed, job.escalate, shared) {
+        match dial_once(&job, epoch, snapshot, request, seed, job.escalate, shared) {
             Ok(outcome) => {
                 total += outcome.stats;
                 gained_total += outcome.gained;
@@ -841,7 +799,7 @@ fn fetch_one(job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
 fn dial_once(
     job: &FetchJob,
     epoch: SessionEpoch,
-    snapshot_ids: &[u64],
+    snapshot: WorkingSet,
     request: u64,
     seed: u64,
     speculative: bool,
@@ -866,15 +824,6 @@ fn dial_once(
         return Err(("hello write failed", WireStats::default(), 0, true));
     }
 
-    // Receiver snapshot exactly as `connect_session` builds it: the
-    // ids held at the barrier (or, on a resumption, right now),
-    // *sorted*, expanded through the shared payload convention.
-    let snapshot = WorkingSet::from_symbols(snapshot_ids.iter().map(|&sym_id| {
-        icd_fountain::EncodedSymbol {
-            id: sym_id,
-            payload: session_payload(sym_id, job.payload),
-        }
-    }));
     let (receiver_seed, _) = session_machine_seeds(seed);
     let mut config = SessionConfig::new()
         .with_request(request)
@@ -967,6 +916,98 @@ mod tests {
         // Unknown leaves/rejoins are rejected, not panics.
         assert_eq!(roster.apply(SwarmEvent::Leave(42), None), None);
         assert_eq!(roster.apply(SwarmEvent::Rejoin(42), None), None);
+    }
+
+    /// Distributes `spec` over in-process nodes, round by round as the
+    /// harness does, checking after every barrier that each node froze
+    /// exactly its shared set: the same ids, the sketch a rebuild from
+    /// those ids computes, and the request for what it still misses.
+    fn distribute_checking_barriers(spec: DistributionSpec) -> Vec<Node> {
+        let nodes: Vec<Node> = (0..spec.nodes)
+            .map(|i| Node::start(DaemonConfig::local(i, spec)).expect("start node"))
+            .collect();
+        let mut roster = Roster::new(spec.nodes);
+        for (i, n) in nodes.iter().enumerate() {
+            roster.set(i, n.local_addr());
+        }
+        for round in 0..crate::plan::MAX_ROUNDS {
+            if nodes.iter().all(|n| n.shared().is_complete()) {
+                break;
+            }
+            if round > 0 {
+                for n in &nodes {
+                    assert_eq!(n.advance_round(), round);
+                }
+            }
+            for (i, n) in nodes.iter().enumerate() {
+                let held = n.shared().sorted_ids();
+                let rebuilt =
+                    WorkingSet::from_symbols(held.iter().map(|&id| icd_fountain::EncodedSymbol {
+                        id,
+                        payload: session_payload(id, spec.payload),
+                    }));
+                let rounds = n.rounds.lock().expect("rounds lock");
+                let frozen = &rounds.serve[round as usize];
+                assert_eq!(frozen.sorted_ids(), held, "node {i} round {round} ids");
+                assert_eq!(
+                    frozen.sketch(),
+                    rebuilt.sketch(),
+                    "node {i} round {round} sketch"
+                );
+                assert_eq!(
+                    rounds.fetch[round as usize],
+                    missing_request(spec.universe, held.len())
+                );
+            }
+            for n in &nodes {
+                for report in n.run_fetches(&roster) {
+                    assert!(
+                        report.outcome.is_ok(),
+                        "round {round}: {:?}",
+                        report.outcome
+                    );
+                }
+            }
+        }
+        nodes
+    }
+
+    fn daemon_spec(seed: u64) -> DistributionSpec {
+        format!("seed={seed},nodes=6,seeders=1,universe=100,share=35,payload=64,topo=ring0")
+            .parse()
+            .expect("valid spec")
+    }
+
+    #[test]
+    fn round_snapshots_are_the_barrier_sets() {
+        let nodes = distribute_checking_barriers(daemon_spec(11));
+        assert!(nodes[0].current_round() >= 2, "several barriers passed");
+    }
+
+    #[test]
+    fn leechers_hold_exactly_the_bytes_the_seeder_derived() {
+        // Bytes in equal bytes out: round snapshots now serve decoded
+        // payloads, so every symbol a leecher holds — reconciled or
+        // recovered from recoded XORs during a stall escalation — must
+        // carry the payload the id derives at the source.
+        let mut escalated = false;
+        for seed in [0, 11] {
+            let spec = daemon_spec(seed);
+            let nodes = distribute_checking_barriers(spec);
+            escalated |= nodes.iter().any(|n| n.stall_escalations() > 0);
+            for (i, n) in nodes.iter().enumerate() {
+                assert!(n.shared().is_complete(), "node {i} incomplete");
+                let held = n.shared().snapshot();
+                for id in held.sorted_ids() {
+                    assert_eq!(
+                        held.payload(id),
+                        Some(&session_payload(id, spec.payload)),
+                        "node {i} symbol {id}"
+                    );
+                }
+            }
+        }
+        assert!(escalated, "one spec finishes through recoded symbols");
     }
 
     #[test]

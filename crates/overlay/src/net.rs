@@ -9,8 +9,9 @@
 //! * a set of **nodes**, each owning a working set (the receiver-side
 //!   substitution machinery from [`crate::receiver::Receiver`]), a
 //!   cached min-wise **calling card** (§4: a function of the working
-//!   set, recomputed only when the set changes), and a completion
-//!   target;
+//!   set, recomputed only when the set changes), a cached session
+//!   working set that session links clone instead of rebuilding, and a
+//!   completion target;
 //! * a set of directed **links**, each owning an independent per-link
 //!   sender pump (a [`crate::strategy::Sender`], a
 //!   [`crate::strategy::FullSender`], or any [`PacketSource`]) plus the
@@ -531,6 +532,16 @@ impl std::error::Error for ConnectError {}
 #[derive(Debug)]
 pub struct OverlayNet<'s> {
     nodes: Vec<NodeState>,
+    /// Per-node session-endpoint working sets, indexed by node and grown
+    /// on demand: known ids, each expanded via [`session_payload`]. A
+    /// node's set is built on its first [`OverlayNet::connect_session`]
+    /// and grown by each symbol a session link decodes. It only ever
+    /// holds known ids, so it is current exactly when it is as large as
+    /// the working set; a gain it missed (a packet link, a cascade
+    /// through recoded packets) leaves it short, and the next session
+    /// rebuilds it. Kept beside `nodes` so packet-only swarms never pay
+    /// for it.
+    session_sets: Vec<Option<WorkingSet>>,
     links: Vec<LinkState<'s>>,
     queue: BinaryHeap<Reverse<Event>>,
     /// The send calendar: one `(next_send, link index)` entry per live,
@@ -590,6 +601,7 @@ impl<'s> OverlayNet<'s> {
     pub fn new(seed: u64) -> Self {
         Self {
             nodes: Vec::new(),
+            session_sets: Vec::new(),
             links: Vec::new(),
             queue: BinaryHeap::new(),
             send_queue: BinaryHeap::new(),
@@ -625,6 +637,7 @@ impl<'s> OverlayNet<'s> {
     pub fn with_payload_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes >= 1, "payload must be at least one byte");
         self.payload_bytes = bytes;
+        self.session_sets.clear();
         if self.frame_tap.is_some() && self.tap_payload.len() != bytes {
             self.tap_payload = Bytes::from(vec![0u8; bytes]);
         }
@@ -872,9 +885,11 @@ impl<'s> OverlayNet<'s> {
     /// [`ReceiverMachine`]/[`SenderMachine`] pair from `icd-core` whose
     /// wire frames — sketches, summaries, requests, symbols, End — are
     /// what actually crosses the link, with rate/latency/loss applied to
-    /// the real framed byte lengths. Each endpoint's working set is the
-    /// node's current one, every id expanded to [`Self::payload_bytes`]
-    /// bytes via [`session_payload`]; symbols the receiver machine
+    /// the real framed byte lengths. Both endpoints' machines get a clone
+    /// of their node's cached session working set (the current set, each
+    /// id's payload [`Self::payload_bytes`] bytes of [`session_payload`]);
+    /// the sender's equals its advertised inventory once
+    /// [`Self::refresh_inventory`] has run. Symbols the receiver machine
     /// decodes are mirrored into the destination node, so completion,
     /// gain, and mixed session/packet topologies all work unchanged.
     ///
@@ -897,19 +912,8 @@ impl<'s> OverlayNet<'s> {
             return Err(ConnectError::SelfLoop { node: from });
         }
         self.refresh_inventory(from);
-        let payload = self.payload_bytes;
-        let receiver_ws = WorkingSet::from_symbols(
-            self.nodes[to.0]
-                .working_keys()
-                .into_iter()
-                .map(|id| session_symbol(id, payload)),
-        );
-        let sender_ws = WorkingSet::from_symbols(
-            self.nodes[from.0]
-                .inventory
-                .iter()
-                .map(|&id| session_symbol(id, payload)),
-        );
+        let receiver_ws = self.session_working_set(to);
+        let sender_ws = self.session_working_set(from);
         let request = self.nodes[to.0].receiver.remaining().max(1) as u64;
         let (receiver_seed, sender_seed) = session_machine_seeds(seed);
         let config = SessionConfig::new()
@@ -1093,6 +1097,26 @@ impl<'s> OverlayNet<'s> {
     // ------------------------------------------------------------------
     // Handshakes and calling cards
     // ------------------------------------------------------------------
+
+    /// A clone of `node`'s session working set, rebuilt from its working
+    /// keys when missing or stale.
+    fn session_working_set(&mut self, node: NodeId) -> WorkingSet {
+        if self.session_sets.len() <= node.0 {
+            self.session_sets.resize_with(node.0 + 1, || None);
+        }
+        let state = &self.nodes[node.0];
+        let cached = &mut self.session_sets[node.0];
+        if cached.as_ref().is_none_or(|ws| ws.len() != state.working_len()) {
+            let payload = self.payload_bytes;
+            *cached = Some(WorkingSet::from_symbols(
+                state
+                    .working_keys()
+                    .into_iter()
+                    .map(|id| session_symbol(id, payload)),
+            ));
+        }
+        cached.clone().expect("just populated")
+    }
 
     /// The node's standing min-wise calling card (§4): computed from the
     /// current working set on first use, cached until the set changes.
@@ -1500,7 +1524,8 @@ impl<'s> OverlayNet<'s> {
     /// machine, queues whatever frames the machine answers with, and
     /// mirrors every symbol the receiver machine decodes into the
     /// destination node's engine-side receiver (so completion, gain, and
-    /// calling-card invalidation work exactly as for packet links).
+    /// calling-card invalidation work exactly as for packet links) and
+    /// into its cached session working set.
     fn process_session_arrival(
         &mut self,
         l: LinkId,
@@ -1558,7 +1583,11 @@ impl<'s> OverlayNet<'s> {
         let was_complete = node.receiver.is_complete();
         let mut gained = 0;
         for id in decoded {
-            gained += node.receiver.receive(&Packet::Encoded(id));
+            let fresh = node.receiver.receive(&Packet::Encoded(id));
+            gained += fresh;
+            if let (1.., Some(Some(ws))) = (fresh, self.session_sets.get_mut(to.0)) {
+                ws.insert(session_symbol(id, self.payload_bytes));
+            }
         }
         if gained > 0 {
             node.card = None;
@@ -2445,6 +2474,89 @@ mod tests {
         // Net-wide byte totals cover both link kinds.
         assert!(net.wire_bytes_sent() > 0);
         assert!(net.control_wire_bytes() > 0, "packet link booked its handshake");
+    }
+
+    /// Checks every node's cached session working set: it holds only
+    /// known ids, and when it counts as current (as large as the working
+    /// set) it equals a rebuild from the working keys. Returns how many
+    /// nodes had a current one.
+    fn assert_session_caches_match_rebuilds(net: &OverlayNet) -> usize {
+        let payload = net.payload_bytes();
+        let mut cached = 0;
+        for (n, (node, ws)) in net.nodes.iter().zip(&net.session_sets).enumerate() {
+            let Some(ws) = ws else { continue };
+            let known = node.working_keys();
+            assert!(ws.ids().all(|id| known.binary_search(&id).is_ok()), "node {n} unknown ids");
+            if ws.len() != node.working_len() {
+                continue;
+            }
+            let rebuilt =
+                WorkingSet::from_symbols(known.iter().map(|&id| session_symbol(id, payload)));
+            assert_eq!(ws.sorted_ids(), rebuilt.sorted_ids(), "node {n} ids");
+            assert_eq!(ws.sketch(), rebuilt.sketch(), "node {n} sketch");
+            cached += 1;
+        }
+        cached
+    }
+
+    #[test]
+    fn session_working_sets_track_a_multi_round_ring() {
+        // Four peers with disjoint quarters reconnect a session ring each
+        // round: every node's cached set grows by its decoded symbols and
+        // must equal a from-scratch rebuild after every round.
+        let mut net = OverlayNet::new(41).with_payload_bytes(24);
+        let nodes: Vec<NodeId> = (0..4u64)
+            .map(|q| net.add_node(&(q * 30..(q + 1) * 30).collect::<Vec<_>>(), 120))
+            .collect();
+        let mut rounds_with_gain = 0;
+        for round in 0..8u64 {
+            if nodes.iter().all(|&n| net.node_complete(n)) {
+                break;
+            }
+            let before: usize = nodes.iter().map(|&n| net.node_distinct(n)).sum();
+            for (i, &to) in nodes.iter().enumerate() {
+                let from = nodes[(i + 3) % 4];
+                net.connect_session(from, to, Link::default(), round * 4 + i as u64)
+                    .expect("wired");
+            }
+            assert_eq!(net.run(RunLimit::ticks(100_000)), StopReason::Stalled);
+            let after: usize = nodes.iter().map(|&n| net.node_distinct(n)).sum();
+            rounds_with_gain += usize::from(after > before);
+            assert_eq!(
+                assert_session_caches_match_rebuilds(&net),
+                4,
+                "round {round}"
+            );
+        }
+        assert!(rounds_with_gain >= 3, "symbols travel the ring over rounds");
+    }
+
+    #[test]
+    fn session_working_set_survives_a_mixed_packet_and_session_node() {
+        // Node r downloads over a recoded packet link and a session link
+        // at once: packet gains, and session decodes that cascade through
+        // buffered recoded packets, leave its cached set short of the
+        // working set; every session must still open with a current
+        // set, and a cache that counts as current equals a rebuild
+        // after every tick.
+        let mut net = OverlayNet::new(42).with_payload_bytes(16);
+        let r = net.add_node(&(0..30).collect::<Vec<_>>(), 90);
+        let s1 = net.add_seeder(&(0..60).collect::<Vec<_>>());
+        let s2 = net.add_seeder(&(30..90).collect::<Vec<_>>());
+        net.connect(s1, r, StrategyKind::Recode, Link::slower(2), ConnectSpec::seeded(1));
+        for round in 0..3u64 {
+            net.connect_session(s2, r, Link::default(), round).expect("wired");
+            assert_eq!(
+                assert_session_caches_match_rebuilds(&net),
+                2,
+                "after connect"
+            );
+            for _ in 0..40 {
+                let _ = net.run(RunLimit::ticks(net.now() + 1));
+                assert_session_caches_match_rebuilds(&net);
+            }
+        }
+        assert!(net.node_distinct(r) > 60, "both link kinds delivered");
     }
 
     #[test]
