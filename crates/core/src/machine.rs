@@ -1017,9 +1017,7 @@ pub struct WireStats {
 
 impl WireStats {
     /// Books one frame (either direction): the whole framed length,
-    /// classified data vs control by its message tag. Public so custom
-    /// drive loops (e.g. a daemon's budgeted serve path) book frames
-    /// exactly like the built-in drivers.
+    /// classified data vs control by its message tag.
     pub fn count(&mut self, frame: &Bytes) {
         self.frames += 1;
         let data = frame
@@ -1051,17 +1049,28 @@ impl std::ops::AddAssign for WireStats {
     }
 }
 
-/// Errors from the blocking stream drivers.
+/// Errors from the blocking stream drivers. Every variant carries the
+/// wire counters of the frames that crossed before the failure (a frame
+/// whose write failed is booked), so a retrying dialer can sum the
+/// traffic of dead attempts instead of losing it with the connection.
 #[derive(Debug)]
 pub enum DriveError {
     /// The transport failed (I/O error, oversized, truncated or garbled
     /// frame).
-    Transport(FrameError),
+    Transport {
+        /// What the framing layer reported.
+        error: FrameError,
+        /// Wire bytes moved before the failure.
+        stats: WireStats,
+    },
     /// The machine rejected an event.
-    Machine(MachineError),
-    /// The peer closed the stream before the session finished. Carries
-    /// the counters for the frames that did cross, so a daemon can book
-    /// partial traffic before tearing the connection down.
+    Machine {
+        /// What the machine reported.
+        error: MachineError,
+        /// Wire bytes moved before the failure.
+        stats: WireStats,
+    },
+    /// The peer closed the stream before the session finished.
     PeerClosed {
         /// Wire bytes moved before the premature close.
         stats: WireStats,
@@ -1075,40 +1084,49 @@ pub enum DriveError {
     },
 }
 
-impl std::fmt::Display for DriveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl DriveError {
+    /// Wire bytes moved before the failure.
+    #[must_use]
+    pub fn stats(&self) -> WireStats {
         match self {
-            Self::Transport(e) => write!(f, "transport: {e}"),
-            Self::Machine(e) => write!(f, "machine: {e}"),
-            Self::PeerClosed { stats } => write!(
-                f,
-                "peer closed mid-session after {} bytes in {} frames",
-                stats.total(),
-                stats.frames
-            ),
-            Self::ReadTimeout { stats } => write!(
-                f,
-                "read timeout mid-session after {} bytes in {} frames",
-                stats.total(),
-                stats.frames
-            ),
+            Self::Transport { stats, .. }
+            | Self::Machine { stats, .. }
+            | Self::PeerClosed { stats }
+            | Self::ReadTimeout { stats } => *stats,
+        }
+    }
+
+    /// Whether a redial may succeed: the peer closed, a deadline fired,
+    /// or the transport failed transiently. Machine errors never are.
+    #[must_use]
+    pub fn is_transient(&self) -> bool {
+        match self {
+            Self::Transport { error, .. } => error.is_transient(),
+            Self::Machine { .. } => false,
+            Self::PeerClosed { .. } | Self::ReadTimeout { .. } => true,
         }
     }
 }
 
+impl std::fmt::Display for DriveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stats = self.stats();
+        match self {
+            Self::Transport { error, .. } => write!(f, "transport: {error}")?,
+            Self::Machine { error, .. } => write!(f, "machine: {error}")?,
+            Self::PeerClosed { .. } => write!(f, "peer closed mid-session")?,
+            Self::ReadTimeout { .. } => write!(f, "read timeout mid-session")?,
+        }
+        write!(
+            f,
+            " after {} bytes in {} frames",
+            stats.total(),
+            stats.frames
+        )
+    }
+}
+
 impl std::error::Error for DriveError {}
-
-impl From<FrameError> for DriveError {
-    fn from(e: FrameError) -> Self {
-        Self::Transport(e)
-    }
-}
-
-impl From<MachineError> for DriveError {
-    fn from(e: MachineError) -> Self {
-        Self::Machine(e)
-    }
-}
 
 fn execute<S: std::io::Write>(
     actions: &[SessionAction],
@@ -1122,7 +1140,12 @@ fn execute<S: std::io::Write>(
             // (WouldBlock/TimedOut) classifies as the transient
             // `FrameError::TimedOut` a retry policy may redial on,
             // not an opaque I/O failure.
-            stream.write_all(frame).map_err(FrameError::from)?;
+            if let Err(e) = stream.write_all(frame) {
+                return Err(DriveError::Transport {
+                    error: FrameError::from(e),
+                    stats: *stats,
+                });
+            }
         }
     }
     Ok(())
@@ -1135,7 +1158,7 @@ fn read_failure(e: FrameError, stats: WireStats) -> DriveError {
     match e {
         FrameError::Closed => DriveError::PeerClosed { stats },
         FrameError::TimedOut => DriveError::ReadTimeout { stats },
-        other => DriveError::Transport(other),
+        error => DriveError::Transport { error, stats },
     }
 }
 
@@ -1170,7 +1193,9 @@ where
     F: FnMut(&SessionAction, &ReceiverMachine),
 {
     let mut stats = WireStats::default();
-    let actions = machine.handle(SessionEvent::PeerConnected)?;
+    let actions = machine
+        .handle(SessionEvent::PeerConnected)
+        .map_err(|error| DriveError::Machine { error, stats })?;
     execute(&actions, stream, &mut stats)?;
     for action in &actions {
         observe(action, machine);
@@ -1181,7 +1206,9 @@ where
             Err(e) => return Err(read_failure(e, stats)),
         };
         stats.count(&frame);
-        let actions = machine.handle(SessionEvent::FrameReceived(frame))?;
+        let actions = machine
+            .handle(SessionEvent::FrameReceived(frame))
+            .map_err(|error| DriveError::Machine { error, stats })?;
         execute(&actions, stream, &mut stats)?;
         for action in &actions {
             observe(action, machine);
@@ -1200,22 +1227,20 @@ pub fn drive_sender<S: std::io::Read + std::io::Write>(
     limit: FrameLimit,
 ) -> Result<WireStats, DriveError> {
     let mut stats = WireStats::default();
-    execute(
-        &machine.handle(SessionEvent::PeerConnected)?,
-        stream,
-        &mut stats,
-    )?;
+    let actions = machine
+        .handle(SessionEvent::PeerConnected)
+        .map_err(|error| DriveError::Machine { error, stats })?;
+    execute(&actions, stream, &mut stats)?;
     while !machine.is_finished() {
         let frame = match read_frame_bytes(stream, limit) {
             Ok(frame) => frame,
             Err(e) => return Err(read_failure(e, stats)),
         };
         stats.count(&frame);
-        execute(
-            &machine.handle(SessionEvent::FrameReceived(frame))?,
-            stream,
-            &mut stats,
-        )?;
+        let actions = machine
+            .handle(SessionEvent::FrameReceived(frame))
+            .map_err(|error| DriveError::Machine { error, stats })?;
+        execute(&actions, stream, &mut stats)?;
     }
     Ok(stats)
 }
@@ -1890,13 +1915,18 @@ mod tests {
             data: std::io::Cursor::new(wire),
         };
         let (mut receiver, _, _) = machines(10);
-        assert!(matches!(
-            drive_receiver(&mut receiver, &mut stream, FrameLimit::default()),
-            Err(DriveError::Transport(FrameError::Truncated {
-                needed: 5,
-                got: 7
-            }))
-        ));
+        match drive_receiver(&mut receiver, &mut stream, FrameLimit::default()) {
+            Err(DriveError::Transport {
+                error: FrameError::Truncated { needed: 5, got: 7 },
+                stats,
+            }) => {
+                // The opening sketch went out before the cut: the error
+                // keeps its bytes.
+                assert_eq!(stats.frames, 1);
+                assert!(stats.control_bytes > 0);
+            }
+            other => panic!("expected Transport(Truncated), got {other:?}"),
+        }
     }
 
     #[test]
@@ -1946,9 +1976,9 @@ mod tests {
         }
         let (mut receiver, _, _) = machines(10);
         match drive_receiver(&mut receiver, &mut FullBuffer, FrameLimit::default()) {
-            Err(DriveError::Transport(e)) => {
-                assert!(matches!(e, FrameError::TimedOut));
-                assert!(e.is_transient());
+            Err(DriveError::Transport { error, .. }) => {
+                assert!(matches!(error, FrameError::TimedOut));
+                assert!(error.is_transient());
             }
             other => panic!("expected Transport(TimedOut), got {other:?}"),
         }

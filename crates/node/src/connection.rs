@@ -1,9 +1,12 @@
 //! Per-connection drivers: one dialing (fetch) side, one serving side.
 //!
 //! A connection is a hello preamble followed by one §3 reconciliation
-//! session pumped by the blocking drivers from `icd_core::machine` —
-//! the same code path the in-process tests exercise, now over a real
-//! socket. The hello is the *only* traffic the session machines do not
+//! session pumped by the blocking drivers from `icd_core::machine`
+//! (`drive_receiver_with` dialing, `drive_sender` serving) — the same
+//! code path the in-process tests exercise, now over a real socket. A
+//! session that dies early surfaces as a [`DriveError`] carrying the
+//! counters of the frames that crossed before it, on either side. The
+//! hello is the *only* traffic the session machines do not
 //! emit; it is deliberately excluded from [`WireStats`] so a daemon's
 //! per-link counters remain byte-identical to the simulator's session
 //! links, which have no connection-establishment phase.
@@ -16,13 +19,10 @@
 
 use std::io::{Read, Write};
 
-use icd_core::machine::{drive_receiver_with, DriveError, WireStats};
-use icd_core::{
-    ReceiverMachine, SenderMachine, SessionAction, SessionConfig, SessionEvent, WorkingSet,
-};
+use icd_core::machine::{drive_receiver_with, drive_sender, DriveError, WireStats};
+use icd_core::{ReceiverMachine, SenderMachine, SessionAction, SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
-use icd_wire::message::FRAME_PREFIX_BYTES;
-use icd_wire::{read_frame_bytes, FrameError, FrameLimit, Message};
+use icd_wire::FrameLimit;
 
 use crate::shared::SharedWorkingSet;
 
@@ -239,187 +239,33 @@ pub fn fetch_session<S: Read + Write>(
     }
 }
 
-/// How the serving side of one session ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeStatus {
-    /// The session ran to its protocol end (END exchange or rejection).
-    Complete,
-    /// The dialer hung up mid-session. Routine under churn: the dialer
-    /// crashed, was restarted, or decided it was done.
-    PeerClosed,
-    /// The read deadline fired mid-session — the dialer stalled.
-    TimedOut,
-    /// The stream died inside a frame ([`FrameError::Truncated`]). The
-    /// session is abandoned but the daemon keeps serving others.
-    Truncated,
-    /// Fault injection severed the stream after its frame budget
-    /// (never occurs outside a [`crate::daemon::ServeChaos`] plan).
-    Severed,
-}
-
-impl ServeStatus {
-    /// `true` for every status other than [`ServeStatus::Complete`] —
-    /// the session ended early and the dialer saw a partial transfer.
-    #[must_use]
-    pub fn is_degraded(self) -> bool {
-        !matches!(self, Self::Complete)
-    }
-}
-
-/// What one serve session accomplished, degraded or not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeOutcome {
-    /// Wire-exact counters for every frame either direction (hello
-    /// excluded), including frames of sessions that ended early.
-    pub stats: WireStats,
-    /// How the session ended.
-    pub status: ServeStatus,
-}
-
 /// Drives the serving (sender) side of one session over `snapshot`,
 /// with the machine RNG seeded `sender_seed` (derive it from the
-/// hello's link seed via [`icd_overlay::session_machine_seeds`]).
-///
-/// Connection-level failures — the dialer hung up, a deadline fired,
-/// the stream truncated mid-frame — are *absorbed* into a degraded
-/// [`ServeStatus`] rather than surfaced as errors: a serving daemon
-/// logs them and moves on to the next connection. Only protocol or
-/// machine errors (a misbehaving dialer) reach the `Err` arm.
+/// hello's link seed via [`icd_overlay::session_machine_seeds`]): core's
+/// [`drive_sender`] under the default frame limit, so a daemon's serve
+/// counters are the ones every other driver books.
 ///
 /// # Errors
-/// [`DriveError::Machine`] or a non-transient transport failure.
+/// Any [`DriveError`] that ended the session early — the dialer hung
+/// up, a deadline fired, the stream truncated mid-frame, a misbehaving
+/// dialer tripped the machine — carrying the counters of the frames
+/// that crossed before it. A serving daemon logs it and moves on.
 pub fn serve_session<S: Read + Write>(
     stream: &mut S,
     snapshot: WorkingSet,
     sender_seed: u64,
-) -> Result<ServeOutcome, DriveError> {
-    serve_session_budgeted(stream, snapshot, sender_seed, None)
-}
-
-/// [`serve_session`] with an optional chaos budget: after writing
-/// `sever_after` *data* frames the serve writes a deliberately
-/// truncated frame prefix and abandons the stream, reporting
-/// [`ServeStatus::Severed`]. The dialer observes a mid-frame cut —
-/// exactly the failure a yanked cable produces — and (with a
-/// [`crate::retry::RetryPolicy`]) redials on a Live-epoch session.
-///
-/// This is the daemon-side hook the deterministic chaos tests use; the
-/// loop books frames with [`WireStats::count`] exactly like the
-/// built-in drivers, so fault-free runs (`sever_after = None`) stay
-/// byte-identical to `drive_sender`.
-///
-/// # Errors
-/// [`DriveError::Machine`] or a non-transient transport failure.
-pub fn serve_session_budgeted<S: Read + Write>(
-    stream: &mut S,
-    snapshot: WorkingSet,
-    sender_seed: u64,
-    sever_after: Option<u64>,
-) -> Result<ServeOutcome, DriveError> {
-    let limit = FrameLimit::default();
-    let budget = sever_after.unwrap_or(u64::MAX);
-    let mut machine = SenderMachine::new(snapshot, sender_seed);
-    let mut stats = WireStats::default();
-    let mut data_written = 0u64;
-
-    let actions = machine
-        .handle(SessionEvent::PeerConnected)
-        .map_err(DriveError::Machine)?;
-    if let Some(outcome) = write_actions(
+) -> Result<WireStats, DriveError> {
+    drive_sender(
+        &mut SenderMachine::new(snapshot, sender_seed),
         stream,
-        &actions,
-        &mut stats,
-        &mut data_written,
-        budget,
-    )? {
-        return Ok(outcome);
-    }
-
-    loop {
-        if machine.is_finished() {
-            return Ok(ServeOutcome {
-                stats,
-                status: ServeStatus::Complete,
-            });
-        }
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::PeerClosed,
-                })
-            }
-            Err(FrameError::TimedOut) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::TimedOut,
-                })
-            }
-            Err(FrameError::Truncated { .. }) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::Truncated,
-                })
-            }
-            Err(e) => return Err(DriveError::Transport(e)),
-        };
-        stats.count(&frame);
-        let actions = machine
-            .handle(SessionEvent::FrameReceived(frame))
-            .map_err(DriveError::Machine)?;
-        if let Some(outcome) = write_actions(
-            stream,
-            &actions,
-            &mut stats,
-            &mut data_written,
-            budget,
-        )? {
-            return Ok(outcome);
-        }
-    }
-}
-
-/// Writes every `SendFrame` action, booking stats; returns the severed
-/// outcome once `budget` data frames have gone out.
-fn write_actions<S: Write>(
-    stream: &mut S,
-    actions: &[SessionAction],
-    stats: &mut WireStats,
-    data_written: &mut u64,
-    budget: u64,
-) -> Result<Option<ServeOutcome>, DriveError> {
-    for action in actions {
-        let SessionAction::SendFrame(frame) = action else {
-            continue;
-        };
-        stats.count(frame);
-        stream
-            .write_all(frame)
-            .map_err(|e| DriveError::Transport(FrameError::from(e)))?;
-        if frame
-            .get(FRAME_PREFIX_BYTES)
-            .is_some_and(|&t| Message::is_data_tag(t))
-        {
-            *data_written += 1;
-            if *data_written >= budget {
-                // Leave a dangling half-prefix so the dialer sees a
-                // mid-frame cut (FrameError::Truncated), not a tidy EOF.
-                let _ = stream.write_all(&[0x1C, 0xD0]);
-                let _ = stream.flush();
-                return Ok(Some(ServeOutcome {
-                    stats: *stats,
-                    status: ServeStatus::Severed,
-                }));
-            }
-        }
-    }
-    Ok(None)
+        FrameLimit::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icd_wire::Message;
 
     #[test]
     fn hello_round_trips() {
@@ -518,6 +364,7 @@ mod tests {
         for msg in [&sketch, &Message::SymbolRequest { count: u64::MAX }] {
             icd_wire::write_frame(&mut inbound, msg).expect("script frame");
         }
+        let inbound_bytes = inbound.len() as u64;
         let mut dialer = ScriptedDialer {
             inbound: std::io::Cursor::new(inbound),
             written: Vec::new(),
@@ -526,12 +373,20 @@ mod tests {
         assert!(
             matches!(
                 served,
-                Err(DriveError::Machine(icd_core::MachineError::Session(
-                    icd_core::SessionError::RequestTooLarge { count: u64::MAX }
-                )))
+                Err(DriveError::Machine {
+                    error: icd_core::MachineError::Session(
+                        icd_core::SessionError::RequestTooLarge { count: u64::MAX }
+                    ),
+                    ..
+                })
             ),
             "got {served:?}"
         );
         assert_eq!(dialer.written.len(), sketch.frame_len());
+        // The error books every frame that crossed: the sketch written
+        // and both scripted frames read.
+        let stats = served.expect_err("refused").stats();
+        assert_eq!(stats.frames, 3);
+        assert_eq!(stats.total(), inbound_bytes + sketch.frame_len() as u64);
     }
 }

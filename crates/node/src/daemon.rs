@@ -22,17 +22,15 @@ use icd_core::{PolicyKnobs, SessionConfig, WorkingSet};
 use icd_obs::{MetricsRegistry, SyncTraceHandle, TraceEvent};
 use icd_overlay::{session_machine_seeds, session_payload};
 use icd_swarm::{PeerId, SwarmEvent};
+use icd_wire::message::FRAME_PREFIX_BYTES;
+use icd_wire::Message;
 
-use crate::connection::{
-    fetch_session, serve_session_budgeted, FetchError, FetchOutcome, Hello, SessionEpoch,
+use crate::connection::{fetch_session, serve_session, FetchError, Hello, SessionEpoch};
+use crate::plan::{DistributionSpec, PlannedLink, SwarmPlan};
+use crate::retry::{
+    Dial, FetchLadder, FetchReport, LadderAction, LadderEvent, RetryPolicy, StallState,
 };
-use crate::plan::{round_seed, DistributionSpec, SwarmPlan};
-use crate::retry::RetryPolicy;
 use crate::shared::SharedWorkingSet;
-
-/// Salt folded into per-retry session seeds so a redial never replays
-/// the round's original symbol stream.
-const RETRY_SEED_SALT: u64 = 0x1CD0_7E72;
 
 /// Daemon-side fault injection: sever the first serve session from
 /// each listed dialer after a fixed number of data frames. The cut is
@@ -170,27 +168,6 @@ impl Roster {
     }
 }
 
-/// One fetch's result as the harness reports it.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchReport {
-    /// Upstream (serving) peer.
-    pub from: PeerId,
-    /// Reconciliation round the session ran in.
-    pub round: u32,
-    /// Session seed the round ran under ([`round_seed`] of the link).
-    pub seed: u64,
-    /// The session outcome, or the error that ended it. After retries,
-    /// `Ok` carries the *accumulated* stats and gains of every attempt.
-    pub outcome: Result<FetchOutcome, &'static str>,
-    /// Wire bytes moved (both directions, hello excluded) summed over
-    /// every attempt; also populated for failed sessions from the
-    /// errors' partial counters.
-    pub stats: WireStats,
-    /// Redials performed after transient failures (0 on the fault-free
-    /// path — the goldens rely on that).
-    pub retries: u32,
-}
-
 /// Barrier-frozen per-round session state.
 ///
 /// `OverlayNet` freezes every endpoint's snapshot at `connect_session`
@@ -244,11 +221,9 @@ pub struct Node {
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     serve_ctx: Arc<ServeCtx>,
-    /// Set when the previous [`Self::run_fetches`] gained nothing while
-    /// the node was still incomplete — the next round's dials escalate
-    /// to speculative transfers (see [`Self::stall_escalations`]).
-    stalled: AtomicBool,
-    escalations: AtomicU64,
+    /// Whether the next round escalates to speculative transfers (see
+    /// [`Self::stall_escalations`]).
+    stall: Mutex<StallState>,
     /// Structured trace recorder. Records are stamped with the round
     /// number (never wall-clock time); fetch threads share it, so the
     /// interleaving of same-round records is scheduling-dependent —
@@ -332,8 +307,7 @@ impl Node {
             stop,
             accept_thread: Some(accept_thread),
             serve_ctx,
-            stalled: AtomicBool::new(false),
-            escalations: AtomicU64::new(0),
+            stall: Mutex::new(StallState::default()),
             trace: None,
             metrics: None,
         })
@@ -404,21 +378,17 @@ impl Node {
 
     /// Rounds this node ran as speculative escalations.
     ///
-    /// Approximate summaries (Bloom, ART) are pure functions of the two
-    /// working sets, so their false positives do not re-draw under
-    /// fresh round seeds: a node whose last missing symbols are exactly
-    /// the digest's false positives can livelock, gaining nothing round
-    /// after round while every session "succeeds". The daemon detects
-    /// that state — a [`Self::run_fetches`] round that gained nothing
-    /// while still incomplete — and escalates the *next* round to
-    /// speculative [`SessionEpoch::Live`] dials: no summary travels, so
-    /// the sender recodes over its whole set (§6's fallback) and the
-    /// withheld symbols arrive XOR-combined with known ones. The
-    /// fault-free goldens never take this path (they gain every round),
-    /// so byte parity with the simulator is untouched.
+    /// A [`Self::run_fetches`] round that gained nothing while the node
+    /// is still incomplete is stalled (`retry::StallState`): the *next*
+    /// round dials speculative [`SessionEpoch::Live`] sessions, so no
+    /// summary travels, the sender recodes over its whole set (§6's
+    /// fallback) and symbols a digest's false positives withheld arrive
+    /// XOR-combined with known ones. Bloom false positives can trip it
+    /// without any fault; the exact goldens gain every round and never
+    /// escalate, so their byte parity with the simulator is untouched.
     #[must_use]
     pub fn stall_escalations(&self) -> u64 {
-        self.escalations.load(Ordering::Relaxed)
+        self.stall.lock().expect("stall lock").escalations()
     }
 
     /// The reconciliation round the node is currently in (0-based).
@@ -450,8 +420,8 @@ impl Node {
     /// Sessions construct their receiver machines exactly as
     /// `OverlayNet::connect_session` does: snapshot = a clone of the set
     /// frozen at the round barrier; request = symbols missing at the
-    /// barrier; machine seed derived from [`round_seed`] of the link.
-    /// A node that was complete at the barrier dials nobody. Peers
+    /// barrier; machine seed derived from the link's round seed. A node
+    /// that was complete at the barrier dials nobody. Peers
     /// missing from `roster` report `"peer not in roster"` without
     /// dialing.
     ///
@@ -471,43 +441,49 @@ impl Node {
         let Some((snapshot, request)) = frozen else {
             return Vec::new();
         };
-        let escalate = self.stalled.load(Ordering::SeqCst);
-        let fetches: Vec<_> = self.plan.fetches_of(self.config.id).copied().collect();
-        let handles: Vec<_> = fetches
-            .into_iter()
-            .map(|link| {
-                let job = FetchJob {
-                    from: link.from,
-                    round,
-                    seed: round_seed(link.seed, round),
-                    link_seed: link.seed,
-                    addr: roster.addr(link.from),
-                    id: self.config.id,
-                    snapshot: snapshot.clone(),
-                    request,
-                    universe: self.config.spec.universe,
-                    read_timeout: self.config.read_timeout,
-                    write_timeout: self.config.write_timeout,
-                    policy: self.config.retry,
-                    escalate,
-                    trace: self.trace.clone(),
-                };
-                let shared = self.shared.clone();
-                std::thread::spawn(move || fetch_one(job, &shared))
-            })
-            .collect();
-        let reports: Vec<FetchReport> = handles
-            .into_iter()
-            .map(|h| h.join().expect("fetch thread panicked"))
-            .collect();
-        if escalate && !reports.is_empty() {
-            self.escalations.fetch_add(1, Ordering::Relaxed);
+        let escalate = self.stall.lock().expect("stall lock").escalates();
+        let reports: Vec<FetchReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .plan
+                .fetches_of(self.config.id)
+                .map(|link| {
+                    let (barrier, addr) = (snapshot.clone(), roster.addr(link.from));
+                    scope.spawn(move || {
+                        self.fetch_one(link, round, escalate, barrier, request, addr)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fetch thread panicked"))
+                .collect()
+        });
+        let gained: u64 = reports
+            .iter()
+            .filter_map(|r| r.outcome.as_ref().ok())
+            .map(|o| o.gained)
+            .sum();
+        let escalated = if reports.is_empty() {
+            None
+        } else {
+            let mut stall = self.stall.lock().expect("stall lock");
+            let escalated = stall.end_round(gained, self.shared.is_complete());
+            if stall.escalates() && !escalate {
+                eprintln!(
+                    "icd-node: peer {} round {round} gained nothing while incomplete; \
+                     escalating next round to speculative dials",
+                    self.config.id
+                );
+            }
+            escalated
+        };
+        if let Some(starved) = escalated {
             if let Some(trace) = &self.trace {
                 trace.lock().expect("trace lock").push(
                     u64::from(round),
                     TraceEvent::StallEscalation {
                         peer: self.config.id as u64,
-                        starved: self.escalations.load(Ordering::Relaxed),
+                        starved,
                     },
                 );
             }
@@ -544,21 +520,115 @@ impl Node {
                 .counter("node_retries")
                 .add(reports.iter().map(|r| u64::from(r.retries)).sum());
         }
-        let gained: u64 = reports
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().ok())
-            .map(|o| o.gained)
-            .sum();
-        let stalled_now = !reports.is_empty() && gained == 0 && !self.shared.is_complete();
-        if stalled_now && !escalate {
-            eprintln!(
-                "icd-node: peer {} round {round} gained nothing while incomplete; \
-                 escalating next round to speculative dials",
-                self.config.id
-            );
-        }
-        self.stalled.store(stalled_now, Ordering::SeqCst);
         reports
+    }
+
+    /// Runs one link's round fetch: dials and sleeps what its
+    /// [`FetchLadder`] says until the ladder finishes. The planned
+    /// attempt opens with the barrier snapshot and request; every other
+    /// dial resumes over the node's current set (everything decoded so
+    /// far, including what a dead session delivered before it died).
+    fn fetch_one(
+        &self,
+        link: &PlannedLink,
+        round: u32,
+        escalate: bool,
+        mut barrier: WorkingSet,
+        request: u64,
+        addr: Option<SocketAddr>,
+    ) -> FetchReport {
+        let mut ladder = FetchLadder::new(self.config.retry, link, round, escalate);
+        loop {
+            let (snapshot, missing) = if ladder.resumes() {
+                let held = self.shared.snapshot();
+                let missing = self.config.spec.universe.saturating_sub(held.len());
+                (held, missing as u64)
+            } else {
+                (std::mem::take(&mut barrier), request)
+            };
+            let mut action = ladder.handle(LadderEvent::Ready { missing });
+            if let LadderAction::Dial(dial) = action {
+                action = ladder.handle(self.dial_once(addr, &dial, snapshot));
+            }
+            match action {
+                LadderAction::Dial(_) => unreachable!("an attempt's end never asks for a dial"),
+                LadderAction::Backoff { attempt, delay } => {
+                    if let Some(trace) = &self.trace {
+                        trace.lock().expect("trace lock").push(
+                            u64::from(round),
+                            TraceEvent::Redial {
+                                from: self.config.id as u64,
+                                to: link.from as u64,
+                                round: u64::from(round),
+                                attempt: u64::from(attempt),
+                            },
+                        );
+                    }
+                    std::thread::sleep(delay);
+                }
+                LadderAction::Finish(report) => return report,
+            }
+        }
+    }
+
+    /// One dial + one session, reported as the attempt's end. A
+    /// speculative dial advertises the receiver as not fine-grained
+    /// capable, so policy plans a recoded transfer instead of building
+    /// an approximate digest (the stall-escalation path).
+    fn dial_once(
+        &self,
+        addr: Option<SocketAddr>,
+        dial: &Dial,
+        snapshot: WorkingSet,
+    ) -> LadderEvent {
+        let failed = |error, transient| LadderEvent::Failed {
+            error,
+            transient,
+            stats: WireStats::default(),
+            gained: 0,
+        };
+        let Some(addr) = addr else {
+            return failed("peer not in roster", false);
+        };
+        let Ok(mut stream) = TcpStream::connect(addr) else {
+            // Refused dials are transient: the peer may be mid-restart.
+            return failed("connect failed", true);
+        };
+        let _ = stream.set_read_timeout(self.config.read_timeout);
+        let _ = stream.set_write_timeout(self.config.write_timeout);
+        let _ = stream.set_nodelay(true);
+        let hello = Hello {
+            dialer: self.config.id as u32,
+            seed: dial.seed,
+            epoch: dial.epoch,
+        };
+        if hello.write_to(&mut stream).is_err() {
+            return failed("hello write failed", true);
+        }
+        let (receiver_seed, _) = session_machine_seeds(dial.seed);
+        let mut config = SessionConfig::new()
+            .with_request(dial.request)
+            .with_seed(receiver_seed);
+        if dial.speculative {
+            config = config.with_knobs(PolicyKnobs {
+                fine_grained_capable: false,
+                ..PolicyKnobs::default()
+            });
+        }
+        match fetch_session(&mut stream, snapshot, config, &self.shared) {
+            Ok(outcome) => LadderEvent::Succeeded(outcome),
+            Err(FetchError { error, gained }) => LadderEvent::Failed {
+                error: match error {
+                    DriveError::PeerClosed { .. } => "peer closed mid-session",
+                    DriveError::ReadTimeout { .. } => "read timeout",
+                    DriveError::Transport { .. } => "transport error",
+                    DriveError::Machine { .. } => "machine error",
+                },
+                transient: error.is_transient(),
+                stats: error.stats(),
+                gained,
+            },
+        }
     }
 
     /// Stops the listener and joins every serve thread. Idempotent.
@@ -571,12 +641,6 @@ impl Node {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-    }
-
-    /// The frozen round-0 inventory (diagnostics).
-    #[must_use]
-    pub fn initial_inventory(&self) -> WorkingSet {
-        self.rounds.lock().expect("rounds lock").serve[0].clone()
     }
 }
 
@@ -615,241 +679,76 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
     };
     let sever = {
         let mut pending = ctx.chaos_pending.lock().expect("chaos lock");
-        pending
-            .iter()
-            .position(|&d| d == hello.dialer)
-            .map(|i| {
-                pending.swap_remove(i);
-                ctx.frame_budget
-            })
+        pending.iter().position(|&d| d == hello.dialer).map(|i| {
+            pending.swap_remove(i);
+            ctx.frame_budget
+        })
     };
-    match serve_session_budgeted(&mut stream, snapshot, sender_seed, sever) {
-        Ok(outcome) => {
-            if outcome.status.is_degraded() {
-                ctx.degraded.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "icd-node: serve session from dialer {} degraded: {:?}",
-                    hello.dialer, outcome.status
-                );
-            }
-            ctx.log
-                .lock()
-                .expect("serve log lock")
-                .push((hello.dialer, outcome.stats));
-        }
+    let mut stream = SeverAfter {
+        stream,
+        budget: sever.unwrap_or(u64::MAX),
+        data_frames: 0,
+    };
+    let stats = match serve_session(&mut stream, snapshot, sender_seed) {
+        Ok(stats) => stats,
         Err(e) => {
-            // A misbehaving dialer (protocol/machine error): drop the
-            // session, keep the daemon serving everyone else.
+            // The dialer hung up, a deadline fired, the stream was cut
+            // mid-frame or chaos-severed, or a misbehaving dialer tripped
+            // the machine: drop the session, keep serving everyone else.
             ctx.degraded.fetch_add(1, Ordering::Relaxed);
             eprintln!(
-                "icd-node: serve session from dialer {} failed: {e}",
+                "icd-node: serve session from dialer {} degraded: {e}",
                 hello.dialer
             );
+            e.stats()
         }
+    };
+    ctx.log
+        .lock()
+        .expect("serve log lock")
+        .push((hello.dialer, stats));
+}
+
+/// [`ServeChaos`]'s cut as a stream adapter: forwards every frame until
+/// the `budget`-th data frame, then appends a dangling half-prefix so the
+/// dialer sees a mid-frame cut ([`icd_wire::FrameError::Truncated`]),
+/// not a tidy EOF, and fails the write so the serve ends there. The
+/// driver writes each frame with one `write_all`, so every `write` here
+/// is one whole frame.
+struct SeverAfter<S> {
+    stream: S,
+    budget: u64,
+    data_frames: u64,
+}
+
+impl<S: io::Read> io::Read for SeverAfter<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.read(buf)
     }
 }
 
-/// One planned fetch, bundled for its worker thread.
-struct FetchJob {
-    from: PeerId,
-    round: u32,
-    /// Session seed of the round's planned attempt ([`round_seed`]).
-    seed: u64,
-    /// Base link seed — jitter salt and the root of retry seeds.
-    link_seed: u64,
-    addr: Option<SocketAddr>,
-    id: PeerId,
-    /// Barrier-frozen receiver snapshot (attempt 1 only).
-    snapshot: WorkingSet,
-    /// Symbols missing at the barrier (attempt 1 only).
-    request: u64,
-    universe: usize,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    policy: RetryPolicy,
-    /// Stall escalation: dial [`SessionEpoch::Live`] with coarse policy
-    /// knobs so the sender streams recoded symbols instead of filtering
-    /// through an approximate digest whose false positives are stuck.
-    escalate: bool,
-    /// Shared trace recorder (redials are recorded as they happen).
-    trace: Option<SyncTraceHandle>,
-}
-
-/// Session seed for retry `attempt` (≥ 2) of a round fetch: distinct
-/// from the round seed so a resumed session never replays the original
-/// symbol stream, deterministic so a chaos run replays exactly.
-pub(crate) fn retry_seed(link_seed: u64, round: u32, attempt: u32) -> u64 {
-    icd_util::hash::mix64(round_seed(link_seed, round) ^ RETRY_SEED_SALT ^ u64::from(attempt))
-}
-
-/// Dials `from` and runs one fetch session, mirroring the engine's
-/// receiver-side construction — then, on *transient* failure (peer
-/// closed, deadline fired, stream truncated mid-frame, dial refused),
-/// redials under the job's [`RetryPolicy`].
-///
-/// Attempt 1 is the planned round session: barrier-frozen snapshot,
-/// `Round` epoch, the round seed — byte parity with the simulator.
-/// Retries are *resumptions*: a fresh [`SessionEpoch::Live`] hello
-/// advertising the node's **current** working set (everything decoded
-/// so far, including symbols the dead session delivered before it
-/// died), so recovery never re-fetches a byte of prior progress. If
-/// the node finished while backing off, the retry is skipped entirely.
-fn fetch_one(mut job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
-    let mut total = WireStats::default();
-    let mut gained_total = 0u64;
-    let mut retries = 0u32;
-    let mut attempt = 1u32;
-    loop {
-        let (epoch, snapshot, request, seed) = if attempt == 1 && !job.escalate {
-            (
-                SessionEpoch::Round(job.round as u8),
-                std::mem::take(&mut job.snapshot),
-                job.request,
-                job.seed,
-            )
-        } else {
-            // A live dial over the current set: a stall escalation
-            // (attempt 1) or a resumption re-summarizing the now-larger
-            // set. `retry_seed(.., 1)` is otherwise unused (redials start
-            // at attempt 2), so the escalated stream never replays any
-            // planned or retried stream of this round.
-            let held = shared.snapshot();
-            let Some(missing) = missing_request(job.universe, held.len()) else {
-                // Complete already (finished while backing off, or
-                // before an escalated dial): nothing left to dial for.
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: false,
-                    }),
-                    stats: total,
-                    retries,
-                };
-            };
-            // An escalated request carries a decoding allowance (§6.1):
-            // recoded symbols are not individually guaranteed useful.
-            let request = if attempt == 1 { missing * 2 + 4 } else { missing };
-            (
-                SessionEpoch::Live,
-                held,
-                request,
-                retry_seed(job.link_seed, job.round, attempt),
-            )
-        };
-        match dial_once(&job, epoch, snapshot, request, seed, job.escalate, shared) {
-            Ok(outcome) => {
-                total += outcome.stats;
-                gained_total += outcome.gained;
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: outcome.rejected,
-                    }),
-                    stats: total,
-                    retries,
-                };
-            }
-            Err((msg, stats, gained, transient)) => {
-                total += stats;
-                gained_total += gained;
-                if transient && job.policy.allows_retry(attempt) {
-                    retries += 1;
-                    if let Some(trace) = &job.trace {
-                        trace.lock().expect("trace lock").push(
-                            u64::from(job.round),
-                            TraceEvent::Redial {
-                                from: job.id as u64,
-                                to: job.from as u64,
-                                round: u64::from(job.round),
-                                attempt: u64::from(attempt),
-                            },
-                        );
-                    }
-                    std::thread::sleep(job.policy.backoff(attempt, job.link_seed));
-                    attempt += 1;
-                    continue;
-                }
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Err(msg),
-                    stats: total,
-                    retries,
-                };
+impl<S: io::Write> io::Write for SeverAfter<S> {
+    fn write(&mut self, frame: &[u8]) -> io::Result<usize> {
+        self.stream.write_all(frame)?;
+        if frame
+            .get(FRAME_PREFIX_BYTES)
+            .is_some_and(|&tag| Message::is_data_tag(tag))
+        {
+            self.data_frames += 1;
+            if self.data_frames >= self.budget {
+                let _ = self.stream.write_all(&[0x1C, 0xD0]);
+                let _ = self.stream.flush();
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "chaos: severed after the frame budget",
+                ));
             }
         }
-    }
-}
-
-/// One dial + one session. The error arm carries the failure message,
-/// any partial wire counters and gains, and whether the failure is
-/// transient (worth a redial) — protocol and machine errors are not.
-/// With `speculative`, the receiver advertises itself as not
-/// fine-grained capable, so policy plans a recoded transfer instead of
-/// building an approximate digest (the stall-escalation path).
-fn dial_once(
-    job: &FetchJob,
-    epoch: SessionEpoch,
-    snapshot: WorkingSet,
-    request: u64,
-    seed: u64,
-    speculative: bool,
-    shared: &SharedWorkingSet,
-) -> Result<FetchOutcome, (&'static str, WireStats, u64, bool)> {
-    let Some(addr) = job.addr else {
-        return Err(("peer not in roster", WireStats::default(), 0, false));
-    };
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        // Refused dials are transient: the peer may be mid-restart.
-        return Err(("connect failed", WireStats::default(), 0, true));
-    };
-    let _ = stream.set_read_timeout(job.read_timeout);
-    let _ = stream.set_write_timeout(job.write_timeout);
-    let _ = stream.set_nodelay(true);
-    let hello = Hello {
-        dialer: job.id as u32,
-        seed,
-        epoch,
-    };
-    if hello.write_to(&mut stream).is_err() {
-        return Err(("hello write failed", WireStats::default(), 0, true));
+        Ok(frame.len())
     }
 
-    let (receiver_seed, _) = session_machine_seeds(seed);
-    let mut config = SessionConfig::new()
-        .with_request(request)
-        .with_seed(receiver_seed);
-    if speculative {
-        config = config.with_knobs(PolicyKnobs {
-            fine_grained_capable: false,
-            ..PolicyKnobs::default()
-        });
-    }
-
-    match fetch_session(&mut stream, snapshot, config, shared) {
-        Ok(outcome) => Ok(outcome),
-        Err(FetchError { error, gained }) => match error {
-            DriveError::PeerClosed { stats } => {
-                Err(("peer closed mid-session", stats, gained, true))
-            }
-            DriveError::ReadTimeout { stats } => Err(("read timeout", stats, gained, true)),
-            DriveError::Transport(e) => Err((
-                "transport error",
-                WireStats::default(),
-                gained,
-                e.is_transient(),
-            )),
-            DriveError::Machine(_) => Err(("machine error", WireStats::default(), gained, false)),
-        },
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 

@@ -17,16 +17,20 @@
 //! * [`shared`] — the one working set a node's connection threads
 //!   share: mutex-guarded cross-session symbol ingestion with
 //!   duplicate-free distinct counting.
-//! * [`connection`] — per-connection drivers: the dialer-side
-//!   [`connection::fetch_session`], the listener-side
-//!   [`connection::serve_session`], and the tiny hello preamble that
-//!   carries `(dialer, link seed, epoch)` ahead of the first frame.
+//! * [`connection`] — per-connection drivers over core's blocking
+//!   loops: the dialer-side [`connection::fetch_session`]
+//!   (`drive_receiver_with`), the listener-side
+//!   [`connection::serve_session`] (`drive_sender`), and the tiny hello
+//!   preamble that carries `(dialer, link seed, epoch)` ahead of the
+//!   first frame.
 //! * [`daemon`] — the peer runtime: listener thread serving many
-//!   inbound sessions, parallel fetches with crash recovery, and a
-//!   roster speaking `icd-swarm`'s [`icd_swarm::SwarmEvent`]
-//!   membership vocabulary.
-//! * [`retry`] — capped exponential backoff with seeded jitter; the
-//!   redial discipline behind the daemon's transient-failure recovery.
+//!   inbound sessions, parallel fetches that dial and sleep what their
+//!   recovery ladder says, and a roster speaking `icd-swarm`'s
+//!   [`icd_swarm::SwarmEvent`] membership vocabulary.
+//! * [`retry`] — the recovery machine, free of sockets, threads and
+//!   clocks: [`RetryPolicy`]'s seeded backoff, the per-fetch redial
+//!   ladder (dial, back off, finish) and the per-node stall state that
+//!   escalates a stalled node to speculative dials.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,13 +42,12 @@ pub mod retry;
 pub mod shared;
 
 pub use connection::{
-    fetch_session, serve_session, serve_session_budgeted, FetchError, FetchOutcome, Hello,
-    HelloError, ServeOutcome, ServeStatus, SessionEpoch,
+    fetch_session, serve_session, FetchError, FetchOutcome, Hello, HelloError, SessionEpoch,
 };
-pub use daemon::{DaemonConfig, FetchReport, Node, NodeConfig, Roster, ServeChaos};
+pub use daemon::{DaemonConfig, Node, NodeConfig, Roster, ServeChaos};
 pub use plan::{
     link_seed, predict, predict_faulty, round_seed, DistributionSpec, FaultyPrediction,
     PlannedLink, Prediction, SpecParseError, SwarmPlan, MAX_ROUNDS,
 };
-pub use retry::RetryPolicy;
+pub use retry::{FetchReport, RetryPolicy};
 pub use shared::SharedWorkingSet;

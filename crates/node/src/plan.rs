@@ -25,6 +25,8 @@ use icd_swarm::{build_topology, PeerId, Topology, TopologyKind};
 use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
+use crate::retry::{FetchLadder, RetryPolicy};
+
 /// Salts keeping the plan's derived RNG streams disjoint from each
 /// other and from every other stream keyed by the same seed.
 const UNIVERSE_SALT: u64 = 0x1CD0_0B1E;
@@ -349,56 +351,7 @@ impl Prediction {
 /// plan) or a round fails to drain within a generous tick budget.
 #[must_use]
 pub fn predict(plan: &SwarmPlan) -> Prediction {
-    let spec = &plan.spec;
-    let mut net = OverlayNet::new(spec.seed).with_payload_bytes(spec.payload);
-    let mut nodes = Vec::with_capacity(spec.nodes);
-    for n in 0..spec.nodes {
-        let id = if spec.is_seeder(n) {
-            net.add_seeder(&plan.shares[n])
-        } else {
-            net.add_node(&plan.shares[n], spec.universe)
-        };
-        nodes.push(id);
-    }
-    let mut link_bytes = vec![0u64; plan.links.len()];
-    let mut rounds = 0;
-    for round in 0..MAX_ROUNDS {
-        let pending: Vec<usize> = (0..plan.links.len())
-            .filter(|&i| !net.node_complete(nodes[plan.links[i].to]))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        rounds = round + 1;
-        let round_links: Vec<(usize, _)> = pending
-            .iter()
-            .map(|&i| {
-                let link = &plan.links[i];
-                let id = net
-                    .connect_session(
-                        nodes[link.from],
-                        nodes[link.to],
-                        Link::default(),
-                        round_seed(link.seed, round),
-                    )
-                    .expect("planned links are well-formed");
-                (i, id)
-            })
-            .collect();
-        let reason = net.run(RunLimit::ticks(1_000_000_000));
-        assert_eq!(reason, StopReason::Stalled, "sessions must drain");
-        for (i, l) in round_links {
-            let (sent, delivered) = net.link_wire_bytes(l);
-            assert_eq!(sent, delivered, "plan links are lossless");
-            link_bytes[i] += sent;
-        }
-    }
-    Prediction {
-        completed: nodes.iter().map(|&n| net.node_complete(n)).collect(),
-        distinct: nodes.iter().map(|&n| net.node_distinct(n)).collect(),
-        link_bytes,
-        rounds,
-    }
+    replay(plan, &[], 0).0
 }
 
 /// A [`predict`]-style oracle for a run with injected session cuts:
@@ -446,7 +399,8 @@ impl FaultyPrediction {
 /// twin of the daemon's `ServeChaos` + retry recovery. The resumption
 /// session reconnects on the receiver's *current* state (the engine's
 /// refresh-on-connect), exactly mirroring the daemon's `Live`-epoch
-/// redial, under the same `retry_seed` the daemon would use.
+/// redial, under the seed of the `FetchLadder`'s first redial (attempt
+/// 2), the one the daemon dials.
 ///
 /// # Panics
 /// If a severed pair is not a planned link, or a round fails to drain.
@@ -456,7 +410,6 @@ pub fn predict_faulty(
     severed_pairs: &[(PeerId, PeerId)],
     cut_ticks: u64,
 ) -> FaultyPrediction {
-    let base = predict(plan);
     let severed: Vec<usize> = severed_pairs
         .iter()
         .map(|&(from, to)| {
@@ -466,7 +419,20 @@ pub fn predict_faulty(
                 .expect("severed pair is a planned link")
         })
         .collect();
+    let (faulty, retries) = replay(plan, &severed, cut_ticks);
+    FaultyPrediction {
+        base: predict(plan),
+        faulty,
+        severed,
+        retries,
+    }
+}
 
+/// The one simulator replay behind [`predict`] and [`predict_faulty`]:
+/// the plan's rounds over [`OverlayNet`] session links, with the links
+/// indexed by `severed` cut `cut_ticks` into round 0 and resumed.
+/// Returns the prediction and the number of resumption sessions.
+fn replay(plan: &SwarmPlan, severed: &[usize], cut_ticks: u64) -> (Prediction, u64) {
     let spec = &plan.spec;
     let mut net = OverlayNet::new(spec.seed).with_payload_bytes(spec.payload);
     let mut nodes = Vec::with_capacity(spec.nodes);
@@ -529,7 +495,8 @@ pub fn predict_faulty(
                             nodes[link.from],
                             nodes[link.to],
                             Link::default(),
-                            retry_seed_for_replay(link.seed, round),
+                            FetchLadder::new(RetryPolicy::default(), link, round, false)
+                                .dial_seed(2),
                         )
                         .expect("resumption link is well-formed");
                     retries += 1;
@@ -540,29 +507,18 @@ pub fn predict_faulty(
         let reason = net.run(RunLimit::ticks(1_000_000_000));
         assert_eq!(reason, StopReason::Stalled, "sessions must drain");
         for (i, l) in round_links {
-            let (sent, _) = net.link_wire_bytes(l);
+            let (sent, delivered) = net.link_wire_bytes(l);
+            assert_eq!(sent, delivered, "plan links are lossless");
             link_bytes[i] += sent;
         }
     }
-    let faulty = Prediction {
+    let prediction = Prediction {
         completed: nodes.iter().map(|&n| net.node_complete(n)).collect(),
         distinct: nodes.iter().map(|&n| net.node_distinct(n)).collect(),
         link_bytes,
         rounds,
     };
-    FaultyPrediction {
-        base,
-        faulty,
-        severed,
-        retries,
-    }
-}
-
-/// The session seed the daemon's first redial of a round-`round` fetch
-/// uses (`crate::daemon`'s retry attempt 2) — re-derived here so the
-/// replay and the real recovery draw identical symbol streams.
-fn retry_seed_for_replay(link_seed: u64, round: u32) -> u64 {
-    crate::daemon::retry_seed(link_seed, round, 2)
+    (prediction, retries)
 }
 
 #[cfg(test)]

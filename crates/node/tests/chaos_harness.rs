@@ -26,6 +26,7 @@ use std::net::TcpListener;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use icd_core::machine::WireStats;
 use icd_core::machine::{DriveError, FramePump};
 use icd_core::{ReceiverMachine, SenderMachine, SessionAction, SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
@@ -259,6 +260,15 @@ fn in_process_sever_resumes_without_refetching() {
         let stats = server.serve_stats();
         assert_eq!(stats.len(), 2, "severed attempt + successful retry");
         assert!(stats.iter().all(|&(dialer, _)| dialer == 1));
+        // Every attempt's bytes reach the report: the leecher's summed
+        // counters equal what the server booked over the severed
+        // attempt and the retry.
+        let served = stats.iter().fold(WireStats::default(), |mut sum, &(_, s)| {
+            sum += s;
+            sum
+        });
+        assert_eq!(report.stats, served, "severed attempt's bytes missing");
+        assert_eq!(outcome.stats, served);
         (outcome.gained, leecher.shared().distinct())
     };
     // The whole recovery is deterministic.

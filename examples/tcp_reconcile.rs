@@ -83,7 +83,7 @@ fn main() {
     // Both ends counted the same frames; their totals must agree exactly.
     assert_eq!(
         stats.total(),
-        sender_stats.stats.total(),
+        sender_stats.total(),
         "receiver and sender wire counters diverged"
     );
     assert!(
