@@ -34,7 +34,8 @@
 //!   applying rate/latency/loss to real framed byte lengths;
 //! * [`drive_receiver`]/[`drive_sender`] run the machines over any
 //!   blocking `Read + Write` stream (`icd-node`, the `tcp_reconcile`
-//!   example);
+//!   example), with one batched write per machine step and one buffered
+//!   frame reader per session;
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
 //!   frame per direction per step (tests, the quickstart example, the
 //!   summary sweeps).
@@ -45,7 +46,7 @@ use bytes::Bytes;
 use icd_fountain::{EncodedSymbol, RecodeBuffer, RecodePolicy, Recoder};
 use icd_sketch::MinwiseSketch;
 use icd_util::rng::{Rng64 as _, Xoshiro256StarStar};
-use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
+use icd_wire::framing::{write_frame_buf, FrameError, FrameLimit, FrameReader};
 use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
 
@@ -1051,8 +1052,9 @@ impl std::ops::AddAssign for WireStats {
 
 /// Errors from the blocking stream drivers. Every variant carries the
 /// wire counters of the frames that crossed before the failure (a frame
-/// whose write failed is booked), so a retrying dialer can sum the
-/// traffic of dead attempts instead of losing it with the connection.
+/// the stream accepted any byte of is booked), so a retrying dialer can
+/// sum the traffic of dead attempts instead of losing it with the
+/// connection.
 #[derive(Debug)]
 pub enum DriveError {
     /// The transport failed (I/O error, oversized, truncated or garbled
@@ -1128,27 +1130,60 @@ impl std::fmt::Display for DriveError {
 
 impl std::error::Error for DriveError {}
 
+/// Writes one machine step's frames — every `SendFrame` in `actions`,
+/// concatenated into `out` — with as few `write` calls as the stream
+/// accepts them in, then books them. A failed write books every frame
+/// the stream accepted at least one byte of: those bytes may have
+/// reached the peer, so a retrying dialer's sums keep them.
 fn execute<S: std::io::Write>(
     actions: &[SessionAction],
     stream: &mut S,
+    out: &mut Vec<u8>,
     stats: &mut WireStats,
 ) -> Result<(), DriveError> {
-    for action in actions {
-        if let SessionAction::SendFrame(frame) = action {
-            stats.count(frame);
-            // Through `FrameError::from`, so a write deadline
-            // (WouldBlock/TimedOut) classifies as the transient
-            // `FrameError::TimedOut` a retry policy may redial on,
-            // not an opaque I/O failure.
-            if let Err(e) = stream.write_all(frame) {
-                return Err(DriveError::Transport {
-                    error: FrameError::from(e),
-                    stats: *stats,
-                });
+    let frames = || {
+        actions.iter().filter_map(|action| match action {
+            SessionAction::SendFrame(frame) => Some(frame),
+            _ => None,
+        })
+    };
+    out.clear();
+    frames().for_each(|frame| out.extend_from_slice(frame));
+    let mut written = 0;
+    let mut failure = None;
+    while written < out.len() {
+        match stream.write(&out[written..]) {
+            Ok(0) => {
+                failure = Some(std::io::ErrorKind::WriteZero.into());
+                break;
+            }
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                failure = Some(e);
+                break;
             }
         }
     }
-    Ok(())
+    let mut start = 0;
+    for frame in frames() {
+        if start >= written {
+            break;
+        }
+        stats.count(frame);
+        start += frame.len();
+    }
+    match failure {
+        None => Ok(()),
+        // Through `FrameError::from`, so a write deadline
+        // (WouldBlock/TimedOut) classifies as the transient
+        // `FrameError::TimedOut` a retry policy may redial on, not an
+        // opaque I/O failure.
+        Some(e) => Err(DriveError::Transport {
+            error: FrameError::from(e),
+            stats: *stats,
+        }),
+    }
 }
 
 /// Maps a mid-session read failure to the typed driver error. The drive
@@ -1162,18 +1197,85 @@ fn read_failure(e: FrameError, stats: WireStats) -> DriveError {
     }
 }
 
+/// What the blocking driver needs of a machine; both machines are one.
+trait Driven {
+    fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError>;
+    fn is_finished(&self) -> bool;
+}
+
+impl Driven for ReceiverMachine {
+    fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError> {
+        ReceiverMachine::handle(self, event)
+    }
+    fn is_finished(&self) -> bool {
+        ReceiverMachine::is_finished(self)
+    }
+}
+
+impl Driven for SenderMachine {
+    fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError> {
+        SenderMachine::handle(self, event)
+    }
+    fn is_finished(&self) -> bool {
+        SenderMachine::is_finished(self)
+    }
+}
+
+/// The one blocking drive loop: connect, then feed inbound frames until
+/// the machine finishes. Inbound frames come through one buffered
+/// [`FrameReader`]; each step's outbound frames leave as one batch
+/// ([`execute`]); `observe` sees each step's actions after its batch is
+/// written.
+fn drive<M, S, F>(
+    machine: &mut M,
+    stream: &mut S,
+    limit: FrameLimit,
+    mut observe: F,
+) -> Result<WireStats, DriveError>
+where
+    M: Driven,
+    S: std::io::Read + std::io::Write,
+    F: FnMut(&SessionAction, &M),
+{
+    let mut stats = WireStats::default();
+    let mut reader = FrameReader::new(limit);
+    let mut out = Vec::new();
+    let mut event = SessionEvent::PeerConnected;
+    loop {
+        let actions = machine
+            .handle(event)
+            .map_err(|error| DriveError::Machine { error, stats })?;
+        execute(&actions, stream, &mut out, &mut stats)?;
+        for action in &actions {
+            observe(action, machine);
+        }
+        if machine.is_finished() {
+            return Ok(stats);
+        }
+        let frame = reader
+            .next_frame(stream)
+            .map_err(|e| read_failure(e, stats))?;
+        stats.count(&frame);
+        event = SessionEvent::FrameReceived(frame);
+    }
+}
+
 /// Runs a [`ReceiverMachine`] over a blocking stream until the session
 /// finishes. Returns wire-exact byte counters for every frame that
 /// crossed the stream in either direction. A peer that closes or goes
 /// silent (with a socket read timeout set) before the session finishes
 /// yields [`DriveError::PeerClosed`] / [`DriveError::ReadTimeout`]
 /// carrying the partial counters.
+///
+/// Each machine step's frames go out as one batch of `write` calls, and
+/// inbound frames are read through a [`FrameReader`] that may buffer
+/// past the session's last frame: the stream carries this session only.
 pub fn drive_receiver<S: std::io::Read + std::io::Write>(
     machine: &mut ReceiverMachine,
     stream: &mut S,
     limit: FrameLimit,
 ) -> Result<WireStats, DriveError> {
-    drive_receiver_with(machine, stream, limit, |_, _| {})
+    drive(machine, stream, limit, |_, _| {})
 }
 
 /// [`drive_receiver`] with a per-action observer: after each batch of
@@ -1186,63 +1288,25 @@ pub fn drive_receiver_with<S, F>(
     machine: &mut ReceiverMachine,
     stream: &mut S,
     limit: FrameLimit,
-    mut observe: F,
+    observe: F,
 ) -> Result<WireStats, DriveError>
 where
     S: std::io::Read + std::io::Write,
     F: FnMut(&SessionAction, &ReceiverMachine),
 {
-    let mut stats = WireStats::default();
-    let actions = machine
-        .handle(SessionEvent::PeerConnected)
-        .map_err(|error| DriveError::Machine { error, stats })?;
-    execute(&actions, stream, &mut stats)?;
-    for action in &actions {
-        observe(action, machine);
-    }
-    while !machine.is_finished() {
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(e) => return Err(read_failure(e, stats)),
-        };
-        stats.count(&frame);
-        let actions = machine
-            .handle(SessionEvent::FrameReceived(frame))
-            .map_err(|error| DriveError::Machine { error, stats })?;
-        execute(&actions, stream, &mut stats)?;
-        for action in &actions {
-            observe(action, machine);
-        }
-    }
-    Ok(stats)
+    drive(machine, stream, limit, observe)
 }
 
 /// Runs a [`SenderMachine`] over a blocking stream: feed inbound frames,
-/// write replies, stop when the session completes. Premature peer close
-/// or read timeout becomes a typed [`DriveError`] like the receiver
-/// side's.
+/// write replies, stop when the session completes. Batching, buffering
+/// and the typed errors for a premature close or read timeout are
+/// [`drive_receiver`]'s.
 pub fn drive_sender<S: std::io::Read + std::io::Write>(
     machine: &mut SenderMachine,
     stream: &mut S,
     limit: FrameLimit,
 ) -> Result<WireStats, DriveError> {
-    let mut stats = WireStats::default();
-    let actions = machine
-        .handle(SessionEvent::PeerConnected)
-        .map_err(|error| DriveError::Machine { error, stats })?;
-    execute(&actions, stream, &mut stats)?;
-    while !machine.is_finished() {
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(e) => return Err(read_failure(e, stats)),
-        };
-        stats.count(&frame);
-        let actions = machine
-            .handle(SessionEvent::FrameReceived(frame))
-            .map_err(|error| DriveError::Machine { error, stats })?;
-        execute(&actions, stream, &mut stats)?;
-    }
-    Ok(stats)
+    drive(machine, stream, limit, |_, _| {})
 }
 
 #[cfg(test)]
@@ -1852,6 +1916,229 @@ mod tests {
         sender_thread.join().expect("join");
         assert_eq!(seen.len() as u64, receiver.gained());
         assert!(!seen.is_empty());
+    }
+
+    /// A stream that records each `write` call's bytes on the way
+    /// through: the batching the drivers promise is visible per call.
+    struct Recording<S> {
+        inner: S,
+        writes: Vec<Vec<u8>>,
+    }
+    impl<S: std::io::Read> std::io::Read for Recording<S> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+    impl<S: std::io::Write> std::io::Write for Recording<S> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// The frames of one `handle` call's actions.
+    fn sent(actions: Vec<SessionAction>) -> Vec<Bytes> {
+        actions
+            .into_iter()
+            .filter_map(|action| match action {
+                SessionAction::SendFrame(frame) => Some(frame),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Runs a machine pair by hand and returns, per side, one entry per
+    /// `handle` call that emitted frames: those frames concatenated —
+    /// exactly what a batching driver must write, call by call.
+    fn step_batches(
+        receiver: &mut ReceiverMachine,
+        sender: &mut SenderMachine,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let (mut from_receiver, mut from_sender) = (Vec::new(), Vec::new());
+        let mut to_sender = std::collections::VecDeque::new();
+        let mut to_receiver = std::collections::VecDeque::new();
+        let step = |frames: Vec<Bytes>,
+                    batches: &mut Vec<Vec<u8>>,
+                    queue: &mut std::collections::VecDeque<Bytes>| {
+            if !frames.is_empty() {
+                batches.push(frames.iter().flat_map(|f| f.iter().copied()).collect());
+            }
+            queue.extend(frames);
+        };
+        let opening = sent(
+            receiver
+                .handle(SessionEvent::PeerConnected)
+                .expect("connect"),
+        );
+        step(opening, &mut from_receiver, &mut to_sender);
+        let opening = sent(sender.handle(SessionEvent::PeerConnected).expect("connect"));
+        step(opening, &mut from_sender, &mut to_receiver);
+        loop {
+            if let Some(frame) = to_sender.pop_front() {
+                let out = sent(
+                    sender
+                        .handle(SessionEvent::FrameReceived(frame))
+                        .expect("send"),
+                );
+                step(out, &mut from_sender, &mut to_receiver);
+            } else if let Some(frame) = to_receiver.pop_front() {
+                let out = sent(
+                    receiver
+                        .handle(SessionEvent::FrameReceived(frame))
+                        .expect("recv"),
+                );
+                step(out, &mut from_receiver, &mut to_sender);
+            } else {
+                break;
+            }
+        }
+        (from_receiver, from_sender)
+    }
+
+    #[test]
+    fn drivers_write_each_machine_step_as_one_batch() {
+        let (mut twin_receiver, mut twin_sender, _) = machines(1000);
+        let (receiver_batches, sender_batches) = step_batches(&mut twin_receiver, &mut twin_sender);
+        // The stream phase is one step of many frames: batching matters.
+        assert!(sender_batches.iter().any(|b| b.len() > 10 * 76));
+
+        let (receiver_half, sender_half) = duplex();
+        let (mut receiver, mut sender, _) = machines(1000);
+        let sender_thread = std::thread::spawn(move || {
+            let mut stream = Recording {
+                inner: sender_half,
+                writes: Vec::new(),
+            };
+            let stats =
+                drive_sender(&mut sender, &mut stream, FrameLimit::default()).expect("sender");
+            (stream.writes, stats)
+        });
+        let mut stream = Recording {
+            inner: receiver_half,
+            writes: Vec::new(),
+        };
+        let recv_stats =
+            drive_receiver(&mut receiver, &mut stream, FrameLimit::default()).expect("receiver");
+        drop(stream.inner);
+        let (sender_writes, send_stats) = sender_thread.join().expect("join");
+        // One write per step that emitted frames, carrying exactly that
+        // step's frames in order.
+        assert_eq!(stream.writes, receiver_batches);
+        assert_eq!(sender_writes, sender_batches);
+        assert_eq!(recv_stats, send_stats);
+        let wire: usize = receiver_batches
+            .iter()
+            .chain(&sender_batches)
+            .map(Vec::len)
+            .sum();
+        assert_eq!(recv_stats.total(), wire as u64);
+        assert_eq!(
+            twin_receiver.working().sorted_ids(),
+            receiver.working().sorted_ids()
+        );
+    }
+
+    /// Accepts `budget` bytes of writes, in chunks of the given sizes,
+    /// then fails every write; reads come from a scripted peer.
+    struct AcceptThenFail {
+        inbound: std::io::Cursor<Vec<u8>>,
+        budget: usize,
+        chunks: Vec<usize>,
+        calls: usize,
+    }
+    impl std::io::Read for AcceptThenFail {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inbound.read(buf)
+        }
+    }
+    impl std::io::Write for AcceptThenFail {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let chunk = self.chunks[self.calls % self.chunks.len()];
+            self.calls += 1;
+            let n = buf.len().min(self.budget).min(chunk);
+            self.budget -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_failed_batch_books_exactly_the_frames_the_stream_accepted(
+            count in 0u64..40,
+            on_boundary in proptest::arbitrary::any::<bool>(),
+            boundary in 0usize..64,
+            accepted in 0.0f64..1.1,
+            chunks in proptest::collection::vec(1usize..300, 1..6),
+        ) {
+            // A scripted dialer: sketch, then a speculative request.
+            let snapshot = working(&ids(80, 5));
+            let inbound = [
+                frame(&Message::Minwise(working(&ids(60, 6)).sketch().clone())),
+                frame(&Message::SymbolRequest { count }),
+            ];
+            // The twin sender's two replying steps: its sketch, then the
+            // stream and `End`.
+            let mut twin = SenderMachine::new(snapshot.clone(), 3);
+            twin.handle(SessionEvent::PeerConnected).expect("connect");
+            let first = sent(twin.handle(SessionEvent::FrameReceived(inbound[0].clone())).expect("sketch"));
+            let second = sent(twin.handle(SessionEvent::FrameReceived(inbound[1].clone())).expect("request"));
+            let first_len: usize = first.iter().map(Bytes::len).sum();
+            let total: usize = first_len + second.iter().map(Bytes::len).sum::<usize>();
+            // Half the cases fail exactly on a frame boundary, where the
+            // frame the failing write carried has no accepted byte.
+            let mut boundaries = vec![0];
+            for frame in first.iter().chain(&second) {
+                boundaries.push(boundaries[boundaries.len() - 1] + frame.len());
+            }
+            let budget = if on_boundary {
+                boundaries[boundary % boundaries.len()]
+            } else {
+                (total as f64 * accepted) as usize
+            };
+
+            // Expected: every inbound frame read before the failure, and
+            // every outbound frame starting before byte `budget`.
+            let mut expected = WireStats::default();
+            expected.count(&inbound[0]);
+            if budget >= first_len {
+                expected.count(&inbound[1]);
+            }
+            let mut start = 0;
+            for frame in first.iter().chain(&second) {
+                if start < budget {
+                    expected.count(frame);
+                }
+                start += frame.len();
+            }
+
+            let mut stream = AcceptThenFail {
+                inbound: std::io::Cursor::new(inbound.concat()),
+                budget,
+                chunks,
+                calls: 0,
+            };
+            let mut sender = SenderMachine::new(snapshot, 3);
+            match drive_sender(&mut sender, &mut stream, FrameLimit::default()) {
+                Ok(stats) => {
+                    proptest::prop_assert!(budget >= total);
+                    proptest::prop_assert_eq!(stats, expected);
+                }
+                Err(DriveError::Transport { error: FrameError::Io(_), stats }) => {
+                    proptest::prop_assert!(budget < total);
+                    proptest::prop_assert_eq!(stats, expected);
+                }
+                Err(other) => panic!("expected a transport failure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

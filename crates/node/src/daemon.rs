@@ -182,17 +182,22 @@ impl Roster {
 struct Rounds {
     /// Frozen snapshots, indexed by round.
     serve: Vec<WorkingSet>,
-    /// The request count per round — symbols missing at the barrier —
-    /// or `None` when the node was already complete at that barrier and
-    /// dials nobody.
-    fetch: Vec<Option<u64>>,
 }
 
-/// The request a node missing `universe - held` symbols opens its
-/// fetches with, or `None` when it is complete.
-fn missing_request(universe: usize, held: usize) -> Option<u64> {
-    let missing = universe.saturating_sub(held);
-    (missing > 0).then_some(missing as u64)
+impl Rounds {
+    /// The current round and, unless the node was already complete at
+    /// its barrier (it then dials nobody), what its fetches open with:
+    /// the barrier snapshot and a request for every symbol missing
+    /// there.
+    fn current_fetch(&self, universe: usize) -> (u32, Option<(WorkingSet, u64)>) {
+        let round = self.serve.len() - 1;
+        let barrier = &self.serve[round];
+        let missing = universe.saturating_sub(barrier.len());
+        (
+            round as u32,
+            (missing > 0).then(|| (barrier.clone(), missing as u64)),
+        )
+    }
 }
 
 /// Everything a serve thread needs, shared across all of them.
@@ -255,10 +260,6 @@ impl Node {
             config.spec.universe,
         ));
         let rounds = Arc::new(Mutex::new(Rounds {
-            fetch: vec![missing_request(
-                config.spec.universe,
-                initial_inventory.len(),
-            )],
             serve: vec![initial_inventory],
         }));
         let listener = TcpListener::bind(&config.listen)?;
@@ -284,18 +285,16 @@ impl Node {
         let accept_stop = stop.clone();
         let accept_ctx = serve_ctx.clone();
         let accept_thread = std::thread::spawn(move || {
-            let mut sessions = Vec::new();
+            let mut sessions = ServeThreads::default();
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 let ctx = accept_ctx.clone();
-                sessions.push(std::thread::spawn(move || serve_one(stream, &ctx)));
+                sessions.spawn(move || serve_one(stream, &ctx));
             }
-            for s in sessions {
-                let _ = s.join();
-            }
+            sessions.join();
         });
 
         Ok(Self {
@@ -399,19 +398,15 @@ impl Node {
 
     /// One round barrier: freezes one clone of the shared working set as
     /// the new round's snapshot on both sides — the set its dialers are
-    /// served from and the set its own fetches open with — plus the
-    /// request those fetches carry. Returns the new round number.
+    /// served from and the set its own fetches open with (their request
+    /// is what the snapshot misses). Returns the new round number.
     ///
     /// The harness calls this on *every* node before any node dials the
     /// next round — only then do both worlds agree on every endpoint's
     /// state, which is what makes per-round byte parity exact.
     pub fn advance_round(&self) -> u32 {
         let mut rounds = self.rounds.lock().expect("rounds lock");
-        let snapshot = self.shared.snapshot();
-        rounds
-            .fetch
-            .push(missing_request(self.config.spec.universe, snapshot.len()));
-        rounds.serve.push(snapshot);
+        rounds.serve.push(self.shared.snapshot());
         (rounds.serve.len() - 1) as u32
     }
 
@@ -430,14 +425,11 @@ impl Node {
     /// see [`Self::stall_escalations`].
     #[must_use]
     pub fn run_fetches(&self, roster: &Roster) -> Vec<FetchReport> {
-        let (round, frozen) = {
-            let rounds = self.rounds.lock().expect("rounds lock");
-            let round = rounds.serve.len() - 1;
-            (
-                round as u32,
-                rounds.fetch[round].map(|request| (rounds.serve[round].clone(), request)),
-            )
-        };
+        let (round, frozen) = self
+            .rounds
+            .lock()
+            .expect("rounds lock")
+            .current_fetch(self.config.spec.universe);
         let Some((snapshot, request)) = frozen else {
             return Vec::new();
         };
@@ -616,7 +608,13 @@ impl Node {
             });
         }
         match fetch_session(&mut stream, snapshot, config, &self.shared) {
-            Ok(outcome) => LadderEvent::Succeeded(outcome),
+            Ok(outcome) => {
+                // The serve books its counters before it closes the
+                // stream, so waiting for that close makes a finished
+                // fetch imply a booked serve.
+                let _ = io::Read::read(&mut stream, &mut [0u8; 1]);
+                LadderEvent::Succeeded(outcome)
+            }
             Err(FetchError { error, gained }) => LadderEvent::Failed {
                 error: match error {
                     DriveError::PeerClosed { .. } => "peer closed mid-session",
@@ -647,6 +645,25 @@ impl Node {
 impl Drop for Node {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// The accept loop's serve threads. Each spawn first drops the handles
+/// of finished sessions, so a long-lived daemon holds only live
+/// sessions' handles; shutdown joins those.
+#[derive(Default)]
+struct ServeThreads(Vec<std::thread::JoinHandle<()>>);
+
+impl ServeThreads {
+    fn spawn(&mut self, serve: impl FnOnce() + Send + 'static) {
+        self.0.retain(|t| !t.is_finished());
+        self.0.push(std::thread::spawn(serve));
+    }
+
+    fn join(self) {
+        for t in self.0 {
+            let _ = t.join();
+        }
     }
 }
 
@@ -684,11 +701,7 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
             ctx.frame_budget
         })
     };
-    let mut stream = SeverAfter {
-        stream,
-        budget: sever.unwrap_or(u64::MAX),
-        data_frames: 0,
-    };
+    let mut stream = SeverAfter::new(stream, sever.unwrap_or(u64::MAX));
     let stats = match serve_session(&mut stream, snapshot, sender_seed) {
         Ok(stats) => stats,
         Err(e) => {
@@ -709,45 +722,79 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
         .push((hello.dialer, stats));
 }
 
-/// [`ServeChaos`]'s cut as a stream adapter: forwards every frame until
-/// the `budget`-th data frame, then appends a dangling half-prefix so the
-/// dialer sees a mid-frame cut ([`icd_wire::FrameError::Truncated`]),
-/// not a tidy EOF, and fails the write so the serve ends there. The
-/// driver writes each frame with one `write_all`, so every `write` here
-/// is one whole frame.
+/// [`ServeChaos`]'s cut as a stream adapter. The driver writes each
+/// machine step's frames as one batch, so a write may carry many frames:
+/// the adapter walks their length prefixes, forwards everything through
+/// the end of the `budget`-th data frame, appends a dangling half-prefix
+/// so the dialer sees a mid-frame cut ([`icd_wire::FrameError::Truncated`]),
+/// not a tidy EOF, and returns that short count. Every later read and
+/// write fails, so the serve ends there with exactly the frames through
+/// the cut booked, wherever the cut falls in a batch.
+///
+/// Writes must start on frame boundaries, which holds because the adapter
+/// accepts every byte it is given until the cut.
 struct SeverAfter<S> {
     stream: S,
     budget: u64,
     data_frames: u64,
+    severed: bool,
+}
+
+impl<S> SeverAfter<S> {
+    fn new(stream: S, budget: u64) -> Self {
+        Self {
+            stream,
+            budget,
+            data_frames: 0,
+            severed: false,
+        }
+    }
+
+    fn check(&self) -> io::Result<()> {
+        if self.severed {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "chaos: severed after the frame budget",
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl<S: io::Read> io::Read for SeverAfter<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.check()?;
         self.stream.read(buf)
     }
 }
 
 impl<S: io::Write> io::Write for SeverAfter<S> {
-    fn write(&mut self, frame: &[u8]) -> io::Result<usize> {
-        self.stream.write_all(frame)?;
-        if frame
-            .get(FRAME_PREFIX_BYTES)
-            .is_some_and(|&tag| Message::is_data_tag(tag))
-        {
-            self.data_frames += 1;
-            if self.data_frames >= self.budget {
-                let _ = self.stream.write_all(&[0x1C, 0xD0]);
-                let _ = self.stream.flush();
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "chaos: severed after the frame budget",
-                ));
+    fn write(&mut self, batch: &[u8]) -> io::Result<usize> {
+        self.check()?;
+        let mut at = 0;
+        while let Some(prefix) = batch.get(at..at + FRAME_PREFIX_BYTES) {
+            let body = u32::from_le_bytes(prefix.try_into().expect("prefix bytes")) as usize;
+            let data = batch
+                .get(at + FRAME_PREFIX_BYTES)
+                .is_some_and(|&tag| Message::is_data_tag(tag));
+            at = batch.len().min(at + FRAME_PREFIX_BYTES + body);
+            if data {
+                self.data_frames += 1;
+                if self.data_frames >= self.budget {
+                    self.stream.write_all(&batch[..at])?;
+                    let _ = self.stream.write_all(&[0x1C, 0xD0]);
+                    let _ = self.stream.flush();
+                    self.severed = true;
+                    return Ok(at);
+                }
             }
         }
-        Ok(frame.len())
+        self.stream.write_all(batch)?;
+        Ok(batch.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        self.check()?;
         self.stream.flush()
     }
 }
@@ -853,9 +900,14 @@ mod tests {
                     rebuilt.sketch(),
                     "node {i} round {round} sketch"
                 );
+                let (current, fetch) = rounds.current_fetch(spec.universe);
+                assert_eq!(current, round);
+                let expected = (held.len() < spec.universe)
+                    .then(|| (held.clone(), (spec.universe - held.len()) as u64));
                 assert_eq!(
-                    rounds.fetch[round as usize],
-                    missing_request(spec.universe, held.len())
+                    fetch.map(|(barrier, request)| (barrier.sorted_ids(), request)),
+                    expected,
+                    "node {i} round {round} fetch"
                 );
             }
             for n in &nodes {
@@ -907,6 +959,75 @@ mod tests {
             }
         }
         assert!(escalated, "one spec finishes through recoded symbols");
+    }
+
+    #[test]
+    fn accept_loop_holds_only_live_session_handles() {
+        let mut sessions = ServeThreads::default();
+        for _ in 0..64 {
+            sessions.spawn(|| {});
+            // The spawn dropped every finished session's handle.
+            assert_eq!(sessions.0.len(), 1);
+            while !sessions.0.iter().all(std::thread::JoinHandle::is_finished) {
+                std::thread::yield_now();
+            }
+        }
+        sessions.join();
+    }
+
+    #[test]
+    fn sever_cuts_inside_a_batched_write_at_the_budget_frame() {
+        let frame = |msg: &Message| {
+            let mut out = Vec::new();
+            icd_wire::write_frame(&mut out, msg).expect("frame");
+            out
+        };
+        let data = |id: u64| {
+            frame(&Message::EncodedSymbol {
+                id,
+                payload: bytes::Bytes::from(vec![id as u8; 9]),
+            })
+        };
+        let first = [
+            frame(&Message::SymbolRequest { count: 4 }),
+            data(1),
+            data(2),
+        ]
+        .concat();
+        let second = [data(3), data(4), frame(&Message::End { sent: 4 })].concat();
+        let mut sever = SeverAfter::new(io::Cursor::new(Vec::new()), 3);
+        // A batch that ends before the budget passes whole.
+        assert_eq!(
+            io::Write::write(&mut sever, &first).expect("batch"),
+            first.len()
+        );
+        // The third data frame lands mid-batch: the write forwards
+        // through its end, then the dangling half-prefix, and reports
+        // only the frame bytes.
+        let cut = data(3).len();
+        assert_eq!(io::Write::write(&mut sever, &second).expect("cut"), cut);
+        let wire = [&first[..], &second[..cut], &[0x1C, 0xD0]].concat();
+        assert_eq!(sever.stream.get_ref(), &wire);
+        // Every later write and read fails, and nothing more is sent.
+        assert!(io::Write::write(&mut sever, &second[cut..]).is_err());
+        assert!(io::Read::read(&mut sever, &mut [0u8; 8]).is_err());
+        assert_eq!(sever.stream.get_ref(), &wire);
+        // The dialer reads every frame through the cut, then a typed
+        // truncation two bytes into the next prefix.
+        let mut reader = icd_wire::FrameReader::new(icd_wire::FrameLimit::default());
+        let mut dialer = io::Cursor::new(wire.clone());
+        let mut frames = Vec::new();
+        let end = loop {
+            match reader.next_frame(&mut dialer) {
+                Ok(frame) => frames.extend_from_slice(&frame),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(frames, wire[..wire.len() - 2]);
+        assert!(matches!(
+            end,
+            icd_wire::FrameError::Truncated { needed: 2, got: 2 }
+        ));
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //! [`FrameLimit`] so a corrupt or hostile peer cannot make us allocate
 //! unbounded memory — the usual first mistake of hand-rolled protocols.
 //!
-//! These functions work over any `std::io::Read`/`Write`, so the same
-//! code drives the in-memory tests and the `tcp_reconcile` example's
-//! real sockets.
+//! Two readers share one error taxonomy ([`FrameError`]): [`read_frame`]
+//! reads exactly one frame and decodes it, while a [`FrameReader`] owns
+//! a reusable 16 KiB buffer, reads the stream in chunks and slices raw
+//! frames out of it — the session drivers' path, where a burst of symbol
+//! frames costs one `read`. On the way out, [`write_frame_buf`] frames a
+//! message into a caller-owned buffer; a driver concatenates a whole
+//! machine step's frames and writes them at once.
+//!
+//! Everything here works over any `std::io::Read`/`Write`, so the same
+//! code drives the in-memory tests and the daemon's real sockets.
 
 use std::io::{Read, Write};
 
@@ -141,90 +148,144 @@ pub fn write_frame_buf<W: Write>(
     Ok(())
 }
 
-/// Reads the 4-byte length prefix. A clean EOF before the first byte is
-/// [`FrameError::Closed`] (normal shutdown between frames); EOF after
-/// one or more prefix bytes is [`FrameError::Truncated`].
-fn read_prefix<R: Read>(reader: &mut R) -> Result<[u8; 4], FrameError> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match reader.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Err(FrameError::Closed),
-            0 => {
-                return Err(FrameError::Truncated {
-                    needed: 4 - filled,
-                    got: filled,
-                })
-            }
-            n => filled += n,
-        }
-    }
-    Ok(len_bytes)
-}
+/// Bytes a [`FrameReader`] asks the stream for at once: one loopback
+/// `recv` then carries a whole burst of symbol frames.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// Reads exactly `buf.len()` body bytes; EOF mid-body is
-/// [`FrameError::Truncated`] counting the `got_before` frame bytes
-/// already consumed (the prefix, for both readers below).
-fn read_body<R: Read>(reader: &mut R, buf: &mut [u8], got_before: usize) -> Result<(), FrameError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..])? {
+/// Reads from `reader` into `buf[*filled..]` until at least `want` bytes
+/// are filled. `buf` starts at the current frame's first prefix byte, so
+/// `*filled` counts the frame bytes received so far: EOF before the
+/// first of them is [`FrameError::Closed`] (normal shutdown between
+/// frames), EOF after one or more is [`FrameError::Truncated`]. This is
+/// the one place the framing layer classifies a short stream; a read
+/// deadline surfaces as [`FrameError::TimedOut`] through
+/// `From<io::Error>`.
+fn fill<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8],
+    filled: &mut usize,
+    want: usize,
+) -> Result<(), FrameError> {
+    while *filled < want {
+        match reader.read(&mut buf[*filled..])? {
+            0 if *filled == 0 => return Err(FrameError::Closed),
             0 => {
                 return Err(FrameError::Truncated {
-                    needed: buf.len() - filled,
-                    got: got_before + filled,
+                    needed: want - *filled,
+                    got: *filled,
                 })
             }
-            n => filled += n,
+            n => *filled += n,
         }
     }
     Ok(())
 }
 
-/// Reads one frame and returns it raw — length prefix *and* body — as a
-/// shared buffer, without decoding. Sans-I/O drivers use this to hand
-/// the exact wire bytes to a session machine (which decodes with
-/// [`Message::decode_from`] as a view of the same buffer) while
-/// accounting the true framed length. Returns [`FrameError::Closed`] on
-/// a clean EOF between frames, [`FrameError::Truncated`] when the
-/// stream dies inside a frame, and [`FrameError::TimedOut`] when a
-/// configured read timeout fires (the stream may then hold a partial
-/// frame and must be torn down, not retried).
-pub fn read_frame_bytes<R: Read>(
-    reader: &mut R,
-    limit: FrameLimit,
-) -> Result<bytes::Bytes, FrameError> {
-    let len_bytes = read_prefix(reader)?;
-    let len = u32::from_le_bytes(len_bytes);
+/// The whole framed length (prefix included) a length prefix announces,
+/// or [`FrameError::TooLarge`] — checked before any body buffer exists.
+fn framed_len(prefix: &[u8], limit: FrameLimit) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(prefix[..4].try_into().expect("four prefix bytes"));
     if len > limit.max_bytes {
         return Err(FrameError::TooLarge {
             claimed: len,
             limit: limit.max_bytes,
         });
     }
-    let mut frame = vec![0u8; 4 + len as usize];
-    frame[..4].copy_from_slice(&len_bytes);
-    read_body(reader, &mut frame[4..], 4)?;
-    Ok(bytes::Bytes::from(frame))
+    Ok(4 + len as usize)
 }
 
-/// Reads one frame and decodes it. Returns [`FrameError::Closed`] if the
-/// stream ends exactly on a frame boundary (normal shutdown); see
-/// [`read_frame_bytes`] for the mid-frame error taxonomy.
-pub fn read_frame<R: Read>(reader: &mut R, limit: FrameLimit) -> Result<Message, FrameError> {
-    let len_bytes = read_prefix(reader)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > limit.max_bytes {
-        return Err(FrameError::TooLarge {
-            claimed: len,
-            limit: limit.max_bytes,
-        });
+/// A buffered frame reader for one session's stream: it reads in chunks
+/// of up to 16 KiB into a buffer it reuses and slices frames out of it,
+/// so a burst of small frames costs one `read`, not two per frame.
+///
+/// Frames come back raw — length prefix *and* body — as shared buffers,
+/// without decoding. Sans-I/O drivers hand these exact wire bytes to a
+/// session machine (which decodes with [`Message::decode_from`] as a
+/// view of the same buffer) while accounting the true framed length. A
+/// frame larger than the buffer gets an allocation of its own, so the
+/// reader's footprint stays one chunk.
+///
+/// The errors are [`read_frame`]'s: [`FrameError::Closed`] on EOF at a
+/// frame boundary, [`FrameError::Truncated`] counted from the frame's
+/// first prefix byte when the stream dies inside a frame,
+/// [`FrameError::TooLarge`] before any body buffer grows, and
+/// [`FrameError::TimedOut`] when a read deadline fires (the stream must
+/// then be torn down, not retried).
+///
+/// The reader may consume bytes past the frame it returns, so once one
+/// reads a stream, every later frame of that stream must come through
+/// it.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// First buffered byte not yet returned.
+    start: usize,
+    /// One past the last buffered byte.
+    end: usize,
+    limit: FrameLimit,
+}
+
+impl FrameReader {
+    /// An empty reader enforcing `limit` on every frame.
+    #[must_use]
+    pub fn new(limit: FrameLimit) -> Self {
+        Self {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            limit,
+        }
     }
-    let mut body = vec![0u8; len as usize];
-    read_body(reader, &mut body, 4)?;
+
+    /// Reads the next frame from `reader` (see the type docs for the
+    /// error taxonomy).
+    pub fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<bytes::Bytes, FrameError> {
+        self.fill_to(reader, 4)?;
+        let total = framed_len(&self.buf[self.start..self.end], self.limit)?;
+        if total > self.buf.len() {
+            let mut frame = vec![0u8; total];
+            let mut filled = self.end - self.start;
+            frame[..filled].copy_from_slice(&self.buf[self.start..self.end]);
+            (self.start, self.end) = (0, 0);
+            fill(reader, &mut frame, &mut filled, total)?;
+            return Ok(bytes::Bytes::from(frame));
+        }
+        self.fill_to(reader, total)?;
+        let frame = bytes::Bytes::copy_from_slice(&self.buf[self.start..self.start + total]);
+        self.start += total;
+        Ok(frame)
+    }
+
+    /// Buffers at least `want` bytes of the current frame, reading from
+    /// the front of the buffer when it holds nothing else and first
+    /// moving the frame there when it would not fit.
+    fn fill_to<R: Read>(&mut self, reader: &mut R, want: usize) -> Result<(), FrameError> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.start + want > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let mut filled = self.end - self.start;
+        let result = fill(reader, &mut self.buf[self.start..], &mut filled, want);
+        self.end = self.start + filled;
+        result
+    }
+}
+
+/// Reads one frame and decodes it, reading exactly the frame's bytes
+/// and nothing past them. The errors are [`FrameReader`]'s.
+pub fn read_frame<R: Read>(reader: &mut R, limit: FrameLimit) -> Result<Message, FrameError> {
+    let mut prefix = [0u8; 4];
+    let mut filled = 0;
+    fill(reader, &mut prefix, &mut filled, 4)?;
+    let total = framed_len(&prefix, limit)?;
+    let mut frame = vec![0u8; total];
+    frame[..4].copy_from_slice(&prefix);
+    fill(reader, &mut frame, &mut filled, total)?;
     // Hand the body over as a shared buffer so data-plane payloads
     // decode as views of it — the read is the frame's only copy.
-    Message::decode_from(&bytes::Bytes::from(body)).map_err(FrameError::Wire)
+    Message::decode_from(&bytes::Bytes::from(frame).slice(4..)).map_err(FrameError::Wire)
 }
 
 #[cfg(test)]
@@ -305,13 +366,13 @@ mod tests {
     }
 
     #[test]
-    fn raw_reader_reports_truncation_too() {
+    fn frame_reader_reports_truncation_too() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&8u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 3]);
         let mut cursor = Cursor::new(buf);
         assert!(matches!(
-            read_frame_bytes(&mut cursor, FrameLimit::default()),
+            FrameReader::new(FrameLimit::default()).next_frame(&mut cursor),
             Err(FrameError::Truncated { needed: 5, got: 7 })
         ));
     }

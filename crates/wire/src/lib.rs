@@ -14,9 +14,10 @@
 //!   mechanism registered in the peers' `SummaryRegistry`, addressed by
 //!   its stable `SummaryId`), symbol requests, and the data-plane symbol
 //!   frames (encoded and recoded).
-//! * [`framing`] — length-prefixed frames over any `Read`/`Write` pair
-//!   (used by the `tcp_reconcile` example; blocking `std::net` is all the
-//!   workload needs — the transfers are CPU-bound, not connection-bound).
+//! * [`framing`] — length-prefixed frames over any `Read`/`Write` pair,
+//!   read one at a time or sliced out of a buffered [`FrameReader`] (the
+//!   session drivers' path; blocking `std::net` is all the workload
+//!   needs — the transfers are CPU-bound, not connection-bound).
 //! * [`budget`] — the packet-budget ledger.
 //!
 //! Layout conventions: all integers little-endian; every message starts
@@ -31,7 +32,7 @@ pub mod budget;
 pub mod framing;
 pub mod message;
 
-pub use framing::{read_frame, read_frame_bytes, write_frame, write_frame_buf, FrameError, FrameLimit};
+pub use framing::{read_frame, write_frame, write_frame_buf, FrameError, FrameLimit, FrameReader};
 pub use message::{
     encoded_symbol_frame_len, recoded_symbol_frame_len, Message, WireError, FRAME_PREFIX_BYTES,
     SYMBOL_ID_BITS,

@@ -2,11 +2,114 @@
 //! arbitrary bytes), lossless round-trips for arbitrary messages, and a
 //! malformed-frame corpus for the framing layer — oversized length
 //! prefixes, mid-frame truncation, unknown tags — all of which must
-//! surface as typed errors, never panics or unbounded allocation.
+//! surface as typed errors, never panics or unbounded allocation. The
+//! buffered `FrameReader` must round-trip any frame sequence however the
+//! stream chunks it and keep `read_frame`'s error taxonomy exactly.
 
-use icd_wire::framing::{read_frame, write_frame, FrameError, FrameLimit};
-use icd_wire::{Message, WireError};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::Read;
+
+use icd_wire::framing::{read_frame, write_frame, write_frame_buf, FrameError, FrameLimit};
+use icd_wire::{FrameReader, Message, WireError};
 use proptest::prelude::*;
+
+/// The system allocator, counting the bytes each thread requests, so a
+/// test can assert that a read allocated nothing.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+}
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result and the bytes this thread allocated.
+fn allocated_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// Serves `data` in reads of the given sizes, cycled — a socket hands a
+/// reader whatever has arrived, from one byte to everything.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: &'a [usize],
+    calls: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.calls % self.sizes.len()];
+        self.calls += 1;
+        let n = buf.len().min(size).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// One message per `(kind, value, payload length)` triple: requests,
+/// symbols (up to past the reader's 16 KiB buffer) and ends.
+fn message((kind, value, len): (u8, u64, usize)) -> Message {
+    match kind {
+        0 => Message::SymbolRequest { count: value },
+        1 => Message::EncodedSymbol {
+            id: value,
+            payload: bytes::Bytes::from(vec![value as u8; len]),
+        },
+        _ => Message::End { sent: value },
+    }
+}
+
+/// Frames `msgs` back to back; returns the stream and each frame.
+fn framed_stream(msgs: &[Message]) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let (mut stream, mut scratch) = (Vec::new(), Vec::new());
+    let frames = msgs
+        .iter()
+        .map(|m| {
+            let mut frame = Vec::new();
+            write_frame_buf(&mut frame, m, &mut scratch).expect("frame");
+            stream.extend_from_slice(&frame);
+            frame
+        })
+        .collect();
+    (stream, frames)
+}
+
+/// Chunk sizes spread log-uniformly from one byte to 128 KiB.
+fn chunk_sizes() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(
+        (0u32..18, any::<u64>()).prop_map(|(bits, raw)| 1 + (raw % (1u64 << bits)) as usize),
+        1..8,
+    )
+}
 
 proptest! {
     #[test]
@@ -116,6 +219,94 @@ proptest! {
             other => panic!("expected Closed/Truncated, got {other:?}"),
         }
         prop_assert!(decoded <= counts.len());
+    }
+
+    #[test]
+    fn frame_reader_roundtrips_any_chunking(
+        specs in proptest::collection::vec((0u8..3, any::<u64>(), 0usize..24_000), 1..6),
+        sizes in chunk_sizes(),
+    ) {
+        let msgs: Vec<Message> = specs.into_iter().map(message).collect();
+        let (stream, frames) = framed_stream(&msgs);
+        let mut chunked = Chunked { data: &stream, sizes: &sizes, calls: 0 };
+        let mut reader = FrameReader::new(FrameLimit::default());
+        for (frame, msg) in frames.iter().zip(&msgs) {
+            let got = reader.next_frame(&mut chunked).expect("frame");
+            prop_assert_eq!(&got[..], &frame[..]);
+            prop_assert_eq!(&Message::decode_from(&got.slice(4..)).expect("decode"), msg);
+        }
+        prop_assert!(matches!(reader.next_frame(&mut chunked), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn frame_reader_types_every_truncation_offset(
+        specs in proptest::collection::vec((0u8..3, any::<u64>(), 0usize..48), 1..5),
+        sizes in chunk_sizes(),
+    ) {
+        let msgs: Vec<Message> = specs.into_iter().map(message).collect();
+        let (stream, frames) = framed_stream(&msgs);
+        for cut in 0..=stream.len() {
+            let mut chunked = Chunked { data: &stream[..cut], sizes: &sizes, calls: 0 };
+            let mut reader = FrameReader::new(FrameLimit::default());
+            let (mut start, mut whole) = (0, 0);
+            let end = loop {
+                match reader.next_frame(&mut chunked) {
+                    Ok(frame) => {
+                        prop_assert_eq!(&frame[..], &frames[whole][..]);
+                        start += frame.len();
+                        whole += 1;
+                    }
+                    Err(e) => break e,
+                }
+            };
+            // Both readers share one taxonomy: `read_frame` ends the cut
+            // stream the same way.
+            let mut unbuffered = &stream[..cut];
+            let direct = loop {
+                if let Err(e) = read_frame(&mut unbuffered, FrameLimit::default()) {
+                    break e;
+                }
+            };
+            let got = cut - start;
+            match (end, direct) {
+                (FrameError::Closed, FrameError::Closed) => prop_assert_eq!(got, 0),
+                (
+                    FrameError::Truncated { needed, got: g },
+                    FrameError::Truncated { needed: n2, got: g2 },
+                ) => {
+                    // Counted from the frame's first prefix byte: the
+                    // prefix while it is incomplete, else the frame.
+                    let want = if got < 4 { 4 } else { frames[whole].len() };
+                    prop_assert_eq!((needed, g), (want - got, got));
+                    prop_assert_eq!((n2, g2), (needed, g));
+                }
+                (end, direct) => panic!("cut {cut}: {end:?} / {direct:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_prefix_is_too_large_before_any_allocation(
+        limit in 0u32..1 << 20,
+        excess in 1u32..u32::MAX - (1 << 20),
+        sizes in chunk_sizes(),
+    ) {
+        let claimed = limit + excess;
+        let mut stream = claimed.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0xAB; 64]);
+        let limit = FrameLimit { max_bytes: limit };
+        let mut reader = FrameReader::new(limit);
+        let mut chunked = Chunked { data: &stream, sizes: &sizes, calls: 0 };
+        let (buffered, allocated) = allocated_during(|| reader.next_frame(&mut chunked));
+        prop_assert_eq!(allocated, 0);
+        let (direct, allocated) = allocated_during(|| read_frame(&mut &stream[..], limit));
+        prop_assert_eq!(allocated, 0);
+        for result in [buffered.map(|_| ()), direct.map(|_| ())] {
+            prop_assert!(matches!(
+                result,
+                Err(FrameError::TooLarge { claimed: c, limit: l }) if c == claimed && l == limit.max_bytes
+            ));
+        }
     }
 }
 
